@@ -277,8 +277,8 @@ class GNNIncrementalSession(IncrementalSession):
             self._state_gauge = reg.gauge(
                 "session_state_bytes",
                 labels=labels,
-                help="bytes of live per-session state (SoA node storage "
-                "+ inserter rings + edge log)",
+                help="bytes of live per-session state (SoA node store "
+                "+ edge log + readout)",
             )
             self._expired_ctr = reg.counter(
                 "expired_nodes_total",

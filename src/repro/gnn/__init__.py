@@ -2,10 +2,10 @@
 
 from .async_network import SNAPSHOT_FORMAT, AsyncEventGNN, AsyncStepReport
 from .asynchronous import (
-    BoundedHashInserter,
     HashInserter,
     InsertionStats,
     KDTreeInserter,
+    LiveWindow,
     NaiveInserter,
 )
 from .build import (
@@ -76,7 +76,7 @@ __all__ = [
     "NaiveInserter",
     "KDTreeInserter",
     "HashInserter",
-    "BoundedHashInserter",
+    "LiveWindow",
     "InsertionStats",
     "AsyncEventGNN",
     "SNAPSHOT_FORMAT",

@@ -23,6 +23,13 @@ Three per-event insertion strategies over a sliding temporal window:
 
 All three produce identical edge sets (a tested invariant) and count the
 candidate comparisons performed, which is the ABL-GRAPH cost metric.
+
+Node positions and timestamps live in a :class:`LiveWindow`, the one
+structure-of-arrays node store every incremental path shares: the
+serving engine (:class:`~repro.gnn.AsyncEventGNN`) and the compact
+builder (:class:`~repro.gnn.CompactGraphBuilder`) declare their own
+columns on it and hand it to their :class:`HashInserter`, so growth,
+ring rows, eviction and state accounting are written once.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ __all__ = [
     "NaiveInserter",
     "KDTreeInserter",
     "HashInserter",
-    "BoundedHashInserter",
+    "LiveWindow",
 ]
 
 
@@ -65,11 +72,158 @@ class InsertionStats:
         return self.candidates_examined / self.events_inserted
 
 
+class LiveWindow:
+    """Structure-of-arrays store of an incremental event graph's nodes.
+
+    Every node keeps one row in every column: its scaled position
+    ``pos`` ``(3,)`` and raw microsecond timestamp ``t`` — the columns
+    the inserters read and write — plus the columns its consumer
+    declares (an engine's per-layer features, a builder's neighbour
+    table).  Node ids are assigned consecutively by :meth:`append`, and
+    the live ids always form the contiguous range ``[start, count)``.
+
+    ``capacity`` decides the storage regime:
+
+    * ``None`` (grow): columns double as nodes arrive, node ``i`` sits
+      in row ``i`` and every node stays live (``start`` stays 0);
+    * an int (ring): columns hold exactly ``capacity`` rows, node ``i``
+      sits in row ``i % capacity`` and :meth:`evict` advances ``start``
+      past stale and over-budget nodes — rows are unambiguous because
+      the live ids are contiguous — so :meth:`state_bytes` never
+      changes.
+
+    Args:
+        capacity: maximum live nodes (ring rows), or ``None`` to grow.
+        window_us: ring mode evicts nodes older than this.
+        **columns: consumer columns, ``name=(dtype, *row_shape)``;
+            rows start zeroed.
+    """
+
+    def __init__(
+        self, capacity: int | None = None, window_us: int = 1 << 62, **columns
+    ) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = None if capacity is None else int(capacity)
+        self.window_us = int(window_us)
+        self.start = 0
+        self.count = 0
+        self._layout = {**columns, "pos": (np.float64, 3), "t": (np.int64,)}
+        rows = 64 if capacity is None else self.capacity
+        for name, (dtype, *shape) in self._layout.items():
+            setattr(self, name, np.zeros((rows, *shape), dtype=dtype))
+
+    @property
+    def num_live(self) -> int:
+        """Nodes currently live."""
+        return self.count - self.start
+
+    def row(self, i: int) -> int:
+        """Storage row of node ``i``."""
+        return i if self.capacity is None else i % self.capacity
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Storage rows of the given node ids."""
+        return ids if self.capacity is None else ids % self.capacity
+
+    def live_rows(self) -> np.ndarray:
+        """Rows of the live nodes, oldest first."""
+        return self.rows(np.arange(self.start, self.count, dtype=np.int64))
+
+    def append(self, n: int = 1) -> int:
+        """Claim ids ``count .. count + n - 1``; returns the first.
+
+        Grow mode doubles the columns as needed.  Ring mode never
+        overwrites a live row: :meth:`evict` with ``reserve`` must have
+        made room first.
+        """
+        first = self.count
+        if self.capacity is None:
+            size = self.t.shape[0]
+            if first + n > size:
+                size = max(first + n, 2 * size)
+                for name in self._layout:
+                    col = getattr(self, name)
+                    grown = np.zeros((size,) + col.shape[1:], dtype=col.dtype)
+                    grown[:first] = col[:first]
+                    setattr(self, name, grown)
+        elif first + n - self.start > self.capacity:
+            raise RuntimeError("live window is full: evict() before append()")
+        self.count = first + n
+        return first
+
+    def evict(self, t_us: int, reserve: int = 0) -> int:
+        """Advance ``start`` past stale and over-budget nodes.
+
+        A node is stale when older than ``t_us - window_us``; the budget
+        leaves room for ``reserve`` more appends.  Returns the number of
+        nodes evicted (always 0 in grow mode, which keeps every node).
+        """
+        if self.capacity is None:
+            return 0
+        cutoff = t_us - self.window_us
+        start, n, t = self.start, self.count, self.t
+        limit = n - (self.capacity - reserve)
+        while start < n and (start < limit or t[start % self.capacity] < cutoff):
+            start += 1
+        evicted = start - self.start
+        self.start = start
+        return evicted
+
+    def state_bytes(self) -> int:
+        """Bytes held in the columns (fixed in ring mode)."""
+        return sum(getattr(self, name).nbytes for name in self._layout)
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Copies of every column's stored rows (all rows in ring mode,
+        the first ``count`` when growing)."""
+        used = self.count if self.capacity is None else self.capacity
+        return {name: getattr(self, name)[:used].copy() for name in self._layout}
+
+    def restore(self, columns, start: int, count: int) -> None:
+        """Load :meth:`snapshot` columns and the live range ``[start, count)``.
+
+        Everything is validated before anything changes.
+
+        Raises:
+            ValueError: on a missing or malformed column, a shape that
+                does not match this store, or an invalid live range.
+        """
+        if not 0 <= start <= count or (
+            self.capacity is not None and count - start > self.capacity
+        ):
+            raise ValueError(
+                f"checkpoint live range invalid: live_start={start}, count={count}"
+            )
+        used = count if self.capacity is None else self.capacity
+        loaded = {}
+        for name, (dtype, *shape) in self._layout.items():
+            try:
+                col = np.asarray(columns[name], dtype=dtype)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed checkpoint array {name!r}: {exc!r}"
+                ) from exc
+            if col.shape != (used, *shape):
+                raise ValueError(
+                    f"checkpoint array {name!r} has shape {col.shape}, "
+                    f"expected {(used, *shape)}"
+                )
+            loaded[name] = col
+        rows = max(64, count) if self.capacity is None else self.capacity
+        for name, col in loaded.items():
+            stored = np.zeros((rows,) + col.shape[1:], dtype=col.dtype)
+            stored[:used] = col
+            setattr(self, name, stored)
+        self.start, self.count = start, count
+
+
 class _InserterBase:
     """Shared state and parameters of the insertion strategies.
 
-    Node positions, timestamps and edges live in capacity-doubled NumPy
-    arrays so candidate gathering and edge retrieval are array slices,
+    Node positions and timestamps live in the inserter's
+    :class:`LiveWindow` (:attr:`window`) and edges in a capacity-doubled
+    log, so candidate gathering and edge retrieval are array slices,
     not per-element Python work.
 
     Args:
@@ -99,79 +253,48 @@ class _InserterBase:
         self.window_us = window_us
         self.max_neighbours = max_neighbours
         self.stats = InsertionStats()
-        #: Smallest node id still considered live by the owner.  The
-        #: bounded engine advances it as it evicts nodes; candidates
-        #: below it are filtered out by :class:`HashInserter` lookups so
-        #: recycled ring rows are never mistaken for live nodes.  Stays
-        #: 0 in unbounded use, where it changes nothing.
-        self.min_live_id = 0
-        self._num_nodes = 0
-        self._pos = np.empty((64, 3), dtype=np.float64)
-        self._t_us = np.empty(64, dtype=np.int64)
+        self.window = LiveWindow()
         self._num_edges = 0
+        self._edge_floor = 0  # edges recycled from the front of the log
         self._edge_arr = np.empty((64, 2), dtype=np.int64)
 
     @property
     def num_nodes(self) -> int:
         """Total nodes inserted so far."""
-        return self._num_nodes
-
-    @property
-    def _positions(self) -> np.ndarray:
-        """(N, 3) scaled positions of all inserted nodes (view)."""
-        return self._pos[: self._num_nodes]
-
-    @property
-    def _times_us(self) -> np.ndarray:
-        """Raw microsecond timestamps of all inserted nodes (view)."""
-        return self._t_us[: self._num_nodes]
+        return self.window.count
 
     def edges(self) -> np.ndarray:
         """All (past-node → new-node) edges created, in insertion order.
 
         Returns a view into the internal edge buffer; do not mutate.
+        A ring-mode :class:`HashInserter` recycles the log, so this is
+        only its not-yet-recycled tail.
         """
         return self._edge_arr[: self._num_edges]
 
     def edge_cursor(self) -> int:
         """Opaque position in the edge log; pass to :meth:`edges_since`."""
-        return self._num_edges
+        return self._edge_floor + self._num_edges
 
     def edges_since(self, cursor: int) -> np.ndarray:
         """Edges appended after ``cursor`` (a prior :meth:`edge_cursor`).
 
         Returns a view into the internal edge buffer; do not mutate.
-        Bounded inserters recycle the buffer, so callers must use this
+        Ring-mode inserters recycle the buffer, so callers must use this
         pair instead of slicing :meth:`edges` by ``stats.edges_created``.
         """
-        return self._edge_arr[cursor : self._num_edges]
+        return self._edge_arr[max(0, cursor - self._edge_floor) : self._num_edges]
 
-    def _node_pos(self, ids: np.ndarray) -> np.ndarray:
-        """(k, 3) scaled positions of the given node ids."""
-        return self._pos[ids]
-
-    def _node_t(self, ids: np.ndarray) -> np.ndarray:
-        """Raw microsecond timestamps of the given node ids."""
-        return self._t_us[ids]
-
-    def _reserve_nodes(self, extra: int) -> None:
-        needed = self._num_nodes + extra
-        if needed <= self._pos.shape[0]:
-            return
-        cap = max(needed, 2 * self._pos.shape[0])
-        self._pos = np.concatenate(
-            [self._pos, np.empty((cap - self._pos.shape[0], 3), dtype=np.float64)]
-        )
-        self._t_us = np.concatenate(
-            [self._t_us, np.empty(cap - self._t_us.shape[0], dtype=np.int64)]
-        )
+    def state_bytes(self) -> int:
+        """Bytes held in the node store and the edge log."""
+        return self.window.state_bytes() + self._edge_arr.nbytes
 
     def _append_node(self, p: np.ndarray, t_us: int) -> int:
-        self._reserve_nodes(1)
-        i = self._num_nodes
-        self._pos[i] = p
-        self._t_us[i] = t_us
-        self._num_nodes = i + 1
+        w = self.window
+        i = w.append()
+        row = w.row(i)
+        w.pos[row] = p
+        w.t[row] = t_us
         return i
 
     def _append_edges(self, src_ids: np.ndarray, dst) -> None:
@@ -230,12 +353,12 @@ class NaiveInserter(_InserterBase):
 
     def insert(self, x: float, y: float, t_us: int) -> int:
         p = self._point(x, y, t_us)
-        cutoff = t_us - self.window_us
-        live = np.nonzero(self._times_us >= cutoff)[0]
+        w = self.window
+        live = np.nonzero(w.t[: w.count] >= t_us - self.window_us)[0]
         self.stats.candidates_examined += live.size
-        new_index = self._num_nodes
+        new_index = w.count
         if live.size:
-            self._select_edges(new_index, live, self._positions[live], p)
+            self._select_edges(new_index, live, w.pos[live], p)
         self._append_node(p, t_us)
         self.stats.events_inserted += 1
         return new_index
@@ -259,11 +382,11 @@ class KDTreeInserter(_InserterBase):
         self._pending: list[int] = []  # node ids not yet in the tree
 
     def _rebuild(self, now_us: int) -> None:
-        cutoff = now_us - self.window_us
-        live = np.nonzero(self._times_us >= cutoff)[0]
+        w = self.window
+        live = np.nonzero(w.t[: w.count] >= now_us - self.window_us)[0]
         self._tree_ids = live.astype(np.int64)
         if live.size:
-            self._tree = cKDTree(self._positions[live])
+            self._tree = cKDTree(w.pos[live])
             # Tree construction touches every live point.
             self.stats.candidates_examined += live.size
         else:
@@ -273,7 +396,8 @@ class KDTreeInserter(_InserterBase):
 
     def insert(self, x: float, y: float, t_us: int) -> int:
         p = self._point(x, y, t_us)
-        new_index = self._num_nodes
+        w = self.window
+        new_index = w.count
         cutoff = t_us - self.window_us
 
         ids_parts: list[np.ndarray] = []
@@ -285,18 +409,18 @@ class KDTreeInserter(_InserterBase):
             ) + len(hits)
             if hits:
                 nodes = self._tree_ids[np.asarray(hits, dtype=np.int64)]
-                ids_parts.append(nodes[self._t_us[nodes] >= cutoff])
+                ids_parts.append(nodes[w.t[nodes] >= cutoff])
         if self._pending:
             # Linear scan of the pending (not-yet-indexed) nodes.
             self.stats.candidates_examined += len(self._pending)
             pending = np.asarray(self._pending, dtype=np.int64)
-            ids_parts.append(pending[self._t_us[pending] >= cutoff])
+            ids_parts.append(pending[w.t[pending] >= cutoff])
 
         ids = (
             np.concatenate(ids_parts) if ids_parts else np.zeros(0, dtype=np.int64)
         )
         if ids.size:
-            self._select_edges(new_index, ids, self._positions[ids], p)
+            self._select_edges(new_index, ids, w.pos[ids], p)
         self._append_node(p, t_us)
         self._pending.append(new_index)
         self.stats.events_inserted += 1
@@ -343,15 +467,42 @@ class HashInserter(_InserterBase):
     cell-key-sorted id array per time-cell — so batched insertion never
     pays per-bucket Python bookkeeping.  Lookups (either path) probe
     both forms; both expire per time-cell.
+
+    Over a ring-mode :class:`LiveWindow` the inserter's own state is
+    fixed too — EvGNN-style bounded graph memory (arXiv 2404.19489).
+    The owner evicts through the window before each insertion; lookups
+    skip ids below ``window.start`` (their ring rows may hold newer
+    nodes); the edge log is preallocated and recycled once consumed; and
+    hash buckets are pruned of evicted ids once per ``capacity``
+    evictions.  Edges must then be consumed through :meth:`edge_cursor`
+    / :meth:`edges_since`, and the batched :meth:`insert_many` is
+    unsupported: ring mode serves the strictly per-event path.
+
+    Args:
+        window: the empty node store to insert into (its owner's
+            columns ride along); a grow-mode store when omitted.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    #: Ring mode recycles the edge log once this many edges have been
+    #: consumed, leaving plenty of slack for cursor-based consumption.
+    _EDGE_RECYCLE = 4096
+
+    def __init__(self, *args, window: LiveWindow | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         # time-cell index -> {(cx, cy): [node ids]}   (per-event inserts)
         self._tcells: dict[int, dict[tuple[int, int], list[int]]] = {}
         # time-cell index -> [(sorted packed-xy keys, node ids)]  (batches)
         self._tblocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._min_tcell: int | None = None
+        self._prune_floor = 0  # window.start at the last bucket prune
+        if window is not None:
+            self.window = window
+            if window.capacity is not None:
+                # One insertion starts below _EDGE_RECYCLE and adds at
+                # most max_neighbours edges: the log never grows.
+                self._edge_arr = np.empty(
+                    (self._EDGE_RECYCLE + self.max_neighbours, 2), dtype=np.int64
+                )
 
     def _cell_xy(self, x: float, y: float) -> tuple[int, int]:
         return (int(np.floor(x / self.radius)), int(np.floor(y / self.radius)))
@@ -419,12 +570,13 @@ class HashInserter(_InserterBase):
         if not parts:
             return np.zeros(0, dtype=np.int64)
         ids = np.concatenate(parts)
-        if self.min_live_id:
+        w = self.window
+        if w.start:
             # Must run before the time filter: a cap-evicted id's ring
             # row may hold a newer node whose timestamp passes the
             # cutoff, so the time filter alone would admit garbage.
-            ids = ids[ids >= self.min_live_id]
-        ids = ids[self._node_t(ids) >= cutoff]
+            ids = ids[ids >= w.start]
+        ids = ids[w.t[w.rows(ids)] >= cutoff]
         self.stats.candidates_examined += ids.size
         return ids
 
@@ -433,9 +585,10 @@ class HashInserter(_InserterBase):
     ) -> int:
         self._expire(ct)
         ids = self._gather(cx, cy, ct, t_us - self.window_us)
-        new_index = self._num_nodes
+        w = self.window
+        new_index = w.count
         if ids.size:
-            self._select_edges(new_index, ids, self._node_pos(ids), p)
+            self._select_edges(new_index, ids, w.pos[w.rows(ids)], p)
         self._append_node(p, t_us)
         self._tcells.setdefault(ct, {}).setdefault((cx, cy), []).append(new_index)
         if self._min_tcell is None or ct < self._min_tcell:
@@ -444,10 +597,40 @@ class HashInserter(_InserterBase):
         return new_index
 
     def insert(self, x: float, y: float, t_us: int) -> int:
+        if self.window.capacity is not None:
+            self._recycle()
         cx, cy = self._cell_xy(x, y)
         return self._insert_cells(
             self._point(x, y, t_us), t_us, cx, cy, self._cell_t(t_us)
         )
+
+    def _recycle(self) -> None:
+        """Ring mode: drop consumed edges and evicted bucket ids.
+
+        Bucket pruning runs once per ``capacity`` evictions, so its
+        full-bucket scan amortises to O(1) per event while bounding
+        bucket memory to the live set (lookups already skip evicted
+        ids, so pruning affects memory only, never results).
+        """
+        if self._num_edges >= self._EDGE_RECYCLE:
+            self._edge_floor += self._num_edges
+            self._num_edges = 0
+        floor = self.window.start
+        if floor - self._prune_floor < self.window.capacity:
+            return
+        for tc in list(self._tcells):
+            grid = self._tcells[tc]
+            for key in list(grid):
+                kept = [i for i in grid[key] if i >= floor]
+                if kept:
+                    grid[key] = kept
+                else:
+                    del grid[key]
+            if not grid:
+                del self._tcells[tc]
+        live = self._tcells.keys() | self._tblocks.keys()
+        self._min_tcell = min(live) if live else None
+        self._prune_floor = floor
 
     def insert_many(self, xs, ys, ts) -> np.ndarray:
         """Insert a time-ordered batch of events; returns their node indices.
@@ -463,6 +646,10 @@ class HashInserter(_InserterBase):
         calling :meth:`insert` per event, which remains the tested
         oracle for this path.
         """
+        if self.window.capacity is not None:
+            raise NotImplementedError(
+                "a ring-mode window serves the per-event path; use insert()"
+            )
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.int64)
@@ -473,7 +660,6 @@ class HashInserter(_InserterBase):
             return np.zeros(0, dtype=np.int64)
         if np.any(np.diff(ts) < 0):
             raise ValueError("insert_many requires non-decreasing timestamps")
-        self._reserve_nodes(n)
         pts = np.empty((n, 3), dtype=np.float64)
         pts[:, 0] = xs
         pts[:, 1] = ys
@@ -482,7 +668,7 @@ class HashInserter(_InserterBase):
         cys = np.floor(ys / self.radius).astype(np.int64)
         cts = np.floor(ts / (self.time_scale_us * self.radius)).astype(np.int64)
 
-        n0 = self._num_nodes
+        n0 = self.window.count
         status = self._batch_insert(pts, ts, cxs, cys, cts)
         if status == _BATCH_OK:
             return n0 + np.arange(n, dtype=np.int64)
@@ -517,7 +703,7 @@ class HashInserter(_InserterBase):
         State is only mutated when ``_BATCH_OK`` is returned.
         """
         n = ts.size
-        n0 = self._num_nodes
+        n0 = self.window.count
         ct_first, ct_last = int(cts[0]), int(cts[-1])
 
         # --- collect the reachable live pool (dict buckets + blocks) ---
@@ -625,9 +811,10 @@ class HashInserter(_InserterBase):
             return _BATCH_SPLIT
 
         # --- commit point: append batch nodes, then build edges ---
-        self._pos[n0 : n0 + n] = pts
-        self._t_us[n0 : n0 + n] = ts
-        self._num_nodes = n0 + n
+        w = self.window  # grow mode: node i sits in row i
+        w.append(n)
+        w.pos[n0 : n0 + n] = pts
+        w.t[n0 : n0 + n] = ts
         self.stats.events_inserted += n
 
         if total:
@@ -645,12 +832,12 @@ class HashInserter(_InserterBase):
             causal = cand_id < src_id
             src_id = src_id[causal]
             cand_id = cand_id[causal]
-            live = self._t_us[cand_id] >= self._t_us[src_id] - self.window_us
+            live = w.t[cand_id] >= w.t[src_id] - self.window_us
             src_id = src_id[live]
             cand_id = cand_id[live]
             self.stats.candidates_examined += int(src_id.size)
 
-            d = self._pos[src_id] - self._pos[cand_id]
+            d = w.pos[src_id] - w.pos[cand_id]
             dist2 = np.einsum("ij,ij->i", d, d)
             in_radius = dist2 <= self.radius * self.radius
             src_id = src_id[in_radius]
@@ -713,117 +900,9 @@ class HashInserter(_InserterBase):
         return _BATCH_OK
 
     def insert_stream(self, xs, ys, ts) -> None:
-        """Insert a batch of time-ordered events (batched fast path)."""
-        self.insert_many(xs, ys, ts)
-
-
-class BoundedHashInserter(HashInserter):
-    """A :class:`HashInserter` whose memory is fixed, not growing.
-
-    The serving counterpart of EvGNN-style bounded graph memory: node
-    positions and timestamps live in ring buffers of ``capacity`` rows
-    (row = ``id % capacity``), the edge log is recycled once consumed,
-    and hash buckets are pruned of evicted ids as :attr:`min_live_id`
-    advances — so a session holds O(capacity) state no matter how many
-    events it has absorbed.
-
-    The owner must keep at most ``capacity`` ids live by advancing
-    ``min_live_id`` before each insertion (the bounded
-    :class:`~repro.gnn.AsyncEventGNN` does); ring rows are then
-    unambiguous because live ids always form a contiguous range.  Edges
-    must be consumed through :meth:`edge_cursor` / :meth:`edges_since`
-    — :meth:`edges` only exposes the not-yet-recycled tail.  The batch
-    paths (:meth:`insert_many`) are unsupported: this class serves the
-    strictly per-event path.
-
-    Args:
-        capacity: maximum number of live nodes (ring rows).
-    """
-
-    #: Recycle the edge log once this many edges have been consumed.
-    #: Keeps the buffer under ``_EDGE_RECYCLE + max_neighbours`` rows
-    #: while leaving plenty of slack for cursor-based consumption.
-    _EDGE_RECYCLE = 4096
-
-    def __init__(self, *args, capacity: int, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._pos = np.empty((self.capacity, 3), dtype=np.float64)
-        self._t_us = np.empty(self.capacity, dtype=np.int64)
-        self._edge_floor = 0  # edges dropped from the front of the log
-        self._prune_floor = 0  # min_live_id at the last bucket prune
-
-    # -- ring node storage --------------------------------------------
-    def _reserve_nodes(self, extra: int) -> None:
-        pass  # ring rows are recycled, never grown
-
-    def _append_node(self, p: np.ndarray, t_us: int) -> int:
-        i = self._num_nodes
-        row = i % self.capacity
-        self._pos[row] = p
-        self._t_us[row] = t_us
-        self._num_nodes = i + 1
-        return i
-
-    def _node_pos(self, ids: np.ndarray) -> np.ndarray:
-        return self._pos[ids % self.capacity]
-
-    def _node_t(self, ids: np.ndarray) -> np.ndarray:
-        return self._t_us[ids % self.capacity]
-
-    # -- bounded edge log ---------------------------------------------
-    def edge_cursor(self) -> int:
-        return self._edge_floor + self._num_edges
-
-    def edges_since(self, cursor: int) -> np.ndarray:
-        start = max(0, cursor - self._edge_floor)
-        return self._edge_arr[start : self._num_edges]
-
-    def insert(self, x: float, y: float, t_us: int) -> int:
-        if self._num_edges >= self._EDGE_RECYCLE:
-            self._edge_floor += self._num_edges
-            self._num_edges = 0
-        if self.min_live_id - self._prune_floor >= self.capacity:
-            self._prune_evicted()
-        return super().insert(x, y, t_us)
-
-    def _prune_evicted(self) -> None:
-        """Drop evicted ids from the hash buckets.
-
-        Runs once per ``capacity`` evictions, so its full-bucket scan
-        amortises to O(1) per event while bounding bucket memory to the
-        live set (lookups already filter by ``min_live_id``, so pruning
-        affects memory only, never results).
-        """
-        floor = self.min_live_id
-        for tc in list(self._tcells):
-            grid = self._tcells[tc]
-            for key in list(grid):
-                kept = [i for i in grid[key] if i >= floor]
-                if kept:
-                    grid[key] = kept
-                else:
-                    del grid[key]
-            if not grid:
-                del self._tcells[tc]
-        live = self._tcells.keys() | self._tblocks.keys()
-        self._min_tcell = min(live) if live else None
-        self._prune_floor = floor
-
-    def state_bytes(self) -> int:
-        """Bytes held in the fixed node rings and the edge log."""
-        return int(
-            self._pos.nbytes + self._t_us.nbytes + self._edge_arr.nbytes
-        )
-
-    # -- batch paths are not bounded-safe -----------------------------
-    def insert_many(self, xs, ys, ts) -> np.ndarray:
-        raise NotImplementedError(
-            "BoundedHashInserter serves the per-event path; use insert()"
-        )
-
-    def insert_stream(self, xs, ys, ts) -> None:
-        for x, y, t in zip(xs, ys, ts):
-            self.insert(float(x), float(y), int(t))
+        """Insert a batch of time-ordered events (batched fast path;
+        per event over a ring-mode window)."""
+        if self.window.capacity is None:
+            self.insert_many(xs, ys, ts)
+        else:
+            super().insert_stream(xs, ys, ts)

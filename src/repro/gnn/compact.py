@@ -18,11 +18,11 @@ representation for the reproduction:
   integer coordinates on demand and quantized to a signed integer grid.
 * :class:`CompactGraphBuilder` — incremental (per-event or batched)
   construction on top of the :class:`~repro.gnn.asynchronous.
-  HashInserter` family, so the representation composes with
+  HashInserter` and its :class:`~repro.gnn.asynchronous.LiveWindow`
+  node store, so the representation composes with
   :class:`~repro.gnn.AsyncEventGNN`'s bounded mode: with
-  ``max_live_nodes`` set, node storage becomes fixed ring buffers and
-  the builder's state stops growing no matter how many events pass
-  through.
+  ``max_live_nodes`` set, the store becomes a fixed ring and the
+  builder's state never grows, however many events pass through.
 
 With ``quantization_bits=0`` the compact graph reconstructs positions
 and features *bitwise* equal to the dense :class:`~repro.gnn.graph.
@@ -469,10 +469,12 @@ class CompactGraphBuilder:
     or batched) so the selected neighbour sets are identical to the
     batch pipeline ``radius_graph_spatial_hash → make_causal →
     limit_in_degree`` — the same tested invariant the async serving
-    path builds on.  With ``max_live_nodes`` set, node columns become
-    fixed ring buffers over a :class:`~repro.gnn.asynchronous.
-    BoundedHashInserter` and :meth:`state_bytes` stays flat — the
-    composition with :class:`~repro.gnn.AsyncEventGNN`'s bounded mode.
+    path builds on.  Node columns (polarity and the neighbour table,
+    beside the inserter's positions and timestamps) live in one
+    :class:`~repro.gnn.asynchronous.LiveWindow`; with ``max_live_nodes``
+    set it is a fixed ring and :meth:`state_bytes` is the same from the
+    first event on — the composition with
+    :class:`~repro.gnn.AsyncEventGNN`'s bounded mode.
 
     Args:
         radius: spatiotemporal connection radius.
@@ -501,7 +503,7 @@ class CompactGraphBuilder:
         window_us: int | None = None,
         max_live_nodes: int | None = None,
     ) -> None:
-        from .asynchronous import BoundedHashInserter, HashInserter
+        from .asynchronous import HashInserter, LiveWindow
 
         if max_degree <= 0:
             raise ValueError("max_degree must be positive")
@@ -509,6 +511,8 @@ class CompactGraphBuilder:
             raise ValueError("quantization_bits must be 0 or in [2, 16]")
         if include_position and resolution is None:
             raise ValueError("resolution is required with include_position")
+        if max_live_nodes is not None and not 1 <= max_live_nodes < NBR_OVERFLOW:
+            raise ValueError("max_live_nodes must be in [1, 65534]")
         self.radius = float(radius)
         self.time_scale_us = float(time_scale_us)
         self.max_degree = int(max_degree)
@@ -516,33 +520,19 @@ class CompactGraphBuilder:
         self.include_position = bool(include_position)
         self.resolution = resolution
         self.window_us = (1 << 62) if window_us is None else int(window_us)
-        self._bounded = max_live_nodes is not None
-        if self._bounded:
-            if not 1 <= max_live_nodes < NBR_OVERFLOW:
-                raise ValueError("max_live_nodes must be in [1, 65534]")
-            self._cap = int(max_live_nodes)
-            self._inserter = BoundedHashInserter(
-                self.radius,
-                time_scale_us=self.time_scale_us,
-                window_us=self.window_us,
-                max_neighbours=self.max_degree,
-                capacity=self._cap,
-            )
-        else:
-            self._cap = 64
-            self._inserter = HashInserter(
-                self.radius,
-                time_scale_us=self.time_scale_us,
-                window_us=self.window_us,
-                max_neighbours=self.max_degree,
-            )
-        self._x = np.zeros(self._cap, dtype=np.uint16)
-        self._y = np.zeros(self._cap, dtype=np.uint16)
-        self._t = np.zeros(self._cap, dtype=np.int64)
-        self._p = np.zeros(self._cap, dtype=np.int8)
-        self._nbr = np.zeros((self._cap, self.max_degree), dtype=np.uint16)
-        self._count = 0
-        self._live_start = 0
+        self._window = LiveWindow(
+            max_live_nodes,
+            self.window_us,
+            p=(np.int8,),
+            nbr=(np.uint16, self.max_degree),
+        )
+        self._inserter = HashInserter(
+            self.radius,
+            time_scale_us=self.time_scale_us,
+            window_us=self.window_us,
+            max_neighbours=self.max_degree,
+            window=self._window,
+        )
         self._ov_src: list[int] = []
         self._ov_dst: list[int] = []
 
@@ -550,63 +540,21 @@ class CompactGraphBuilder:
     @property
     def num_events(self) -> int:
         """Total events absorbed so far."""
-        return self._count
+        return self._window.count
 
     @property
     def num_live_nodes(self) -> int:
         """Nodes currently in the (bounded) live window."""
-        return self._count - self._live_start
+        return self._window.num_live
 
     @property
     def live_start(self) -> int:
         """Id of the oldest live node (0 when unbounded)."""
-        return self._live_start
+        return self._window.start
 
     def state_bytes(self) -> int:
-        """Bytes of builder state (columns, neighbour table, inserter)."""
-        total = (
-            self._x.nbytes
-            + self._y.nbytes
-            + self._t.nbytes
-            + self._p.nbytes
-            + self._nbr.nbytes
-            + 16 * len(self._ov_src)
-        )
-        if self._bounded:
-            total += self._inserter.state_bytes()
-        return int(total)
-
-    # -- growth / eviction ---------------------------------------------
-    def _reserve(self, extra: int) -> None:
-        if self._bounded:
-            return
-        needed = self._count + extra
-        if needed <= self._x.size:
-            return
-        cap = max(needed, 2 * self._x.size)
-        grow = cap - self._x.size
-        self._x = np.concatenate([self._x, np.zeros(grow, dtype=np.uint16)])
-        self._y = np.concatenate([self._y, np.zeros(grow, dtype=np.uint16)])
-        self._t = np.concatenate([self._t, np.zeros(grow, dtype=np.int64)])
-        self._p = np.concatenate([self._p, np.zeros(grow, dtype=np.int8)])
-        self._nbr = np.concatenate(
-            [self._nbr, np.zeros((grow, self.max_degree), dtype=np.uint16)]
-        )
-
-    def _row(self, node_id: int) -> int:
-        return node_id % self._cap if self._bounded else node_id
-
-    def _evict(self, t_us: int) -> None:
-        """Advance the live window before inserting one event (bounded)."""
-        cutoff = t_us - self.window_us
-        start = self._live_start
-        while self._count - start >= self._cap or (
-            start < self._count and self._t[start % self._cap] < cutoff
-        ):
-            start += 1
-        if start != self._live_start:
-            self._live_start = start
-            self._inserter.min_live_id = start
+        """Bytes of builder state (node store, edge log, overflow list)."""
+        return self._inserter.state_bytes() + 16 * len(self._ov_src)
 
     # -- insertion -----------------------------------------------------
     def _check_coords(self, x, y) -> None:
@@ -618,28 +566,22 @@ class CompactGraphBuilder:
     def append(self, x: int, y: int, t_us: int, p: int) -> int:
         """Insert one event; returns its node id."""
         self._check_coords(x, y)
-        if self._bounded:
-            self._evict(int(t_us))
-        else:
-            self._reserve(1)
+        w = self._window
+        w.evict(int(t_us), reserve=1)
         cursor = self._inserter.edge_cursor()
         new_id = self._inserter.insert(float(x), float(y), int(t_us))
         new_edges = self._inserter.edges_since(cursor)
-        row = self._row(new_id)
-        self._x[row] = x
-        self._y[row] = y
-        self._t[row] = t_us
-        self._p[row] = p
-        self._nbr[row] = NBR_EMPTY
+        row = w.row(new_id)
+        w.p[row] = p
+        w.nbr[row] = NBR_EMPTY
         for slot in range(new_edges.shape[0]):
             delta = new_id - int(new_edges[slot, 0])
             if delta >= NBR_OVERFLOW:
-                self._nbr[row, slot] = NBR_OVERFLOW
+                w.nbr[row, slot] = NBR_OVERFLOW
                 self._ov_src.append(int(new_edges[slot, 0]))
                 self._ov_dst.append(new_id)
             else:
-                self._nbr[row, slot] = delta
-        self._count = new_id + 1
+                w.nbr[row, slot] = delta
         return new_id
 
     def extend(self, xs, ys, ts, ps) -> np.ndarray:
@@ -647,14 +589,15 @@ class CompactGraphBuilder:
 
         Unbounded builders take the vectorised
         :meth:`~repro.gnn.asynchronous.HashInserter.insert_many` fast
-        path; bounded builders insert per event (the bounded inserter
+        path; bounded builders insert per event (a ring-mode window
         serves only the per-event path).
         """
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         ts = np.asarray(ts, dtype=np.int64)
         ps = np.asarray(ps)
-        if self._bounded:
+        w = self._window
+        if w.capacity is not None:
             out = np.empty(xs.size, dtype=np.int64)
             for i in range(xs.size):
                 out[i] = self.append(
@@ -665,16 +608,11 @@ class CompactGraphBuilder:
         n = xs.size
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        self._reserve(n)
         cursor = self._inserter.edge_cursor()
         ids = self._inserter.insert_many(xs, ys, ts)
         new_edges = self._inserter.edges_since(cursor)
-        lo = self._count
-        self._x[lo : lo + n] = xs
-        self._y[lo : lo + n] = ys
-        self._t[lo : lo + n] = ts
-        self._p[lo : lo + n] = ps
-        self._count = lo + n
+        # Grow mode: node i sits in row i.
+        w.p[ids[0] : ids[0] + n] = ps
         if new_edges.size:
             src = new_edges[:, 0].astype(np.int64)
             dst = new_edges[:, 1].astype(np.int64)
@@ -688,7 +626,7 @@ class CompactGraphBuilder:
             rank = np.arange(dst.size) - np.repeat(starts, counts)
             delta = dst - src
             over = delta >= NBR_OVERFLOW
-            self._nbr[dst, rank] = np.where(
+            w.nbr[dst, rank] = np.where(
                 over, NBR_OVERFLOW, delta
             ).astype(np.uint16)
             if over.any():
@@ -704,30 +642,25 @@ class CompactGraphBuilder:
         neighbour slots whose source has been evicted (the bounded-mode
         completeness trade-off); unbounded builders export everything.
         """
-        lo, hi = self._live_start, self._count
-        length = hi - lo
-        if self._bounded:
-            rows = (np.arange(lo, hi) % self._cap) if length else np.zeros(0, np.int64)
-            x = self._x[rows]
-            y = self._y[rows]
-            t = self._t[rows]
-            p = self._p[rows]
-            nbr = self._nbr[rows].copy()
-            if length:
-                # A delta reaching past the window start points at an
-                # evicted node: clear the slot.
-                local = np.arange(length, dtype=np.int64)[:, None]
-                nbr[nbr.astype(np.int64) > local] = NBR_EMPTY
-            ov_src = np.zeros(0, dtype=np.int64)
-            ov_dst = np.zeros(0, dtype=np.int64)
-        else:
-            x = self._x[:hi]
-            y = self._y[:hi]
-            t = self._t[:hi]
-            p = self._p[:hi]
-            nbr = self._nbr[:hi]
-            ov_src = np.asarray(self._ov_src, dtype=np.int64)
-            ov_dst = np.asarray(self._ov_dst, dtype=np.int64)
+        w = self._window
+        rows = w.live_rows()
+        length = rows.size
+        pos = w.pos[rows]
+        # Coordinates were checked to fit uint16 on insertion.
+        x = pos[:, 0].astype(np.uint16)
+        y = pos[:, 1].astype(np.uint16)
+        t = w.t[rows]
+        p = w.p[rows]
+        nbr = w.nbr[rows]
+        if w.start:
+            # A delta reaching past the window start points at an
+            # evicted node: clear the slot.  (Overflow slots need no
+            # care: they only arise in unbounded builders, where start
+            # stays 0.)
+            local = np.arange(length, dtype=np.int64)[:, None]
+            nbr[nbr.astype(np.int64) > local] = NBR_EMPTY
+        ov_src = np.asarray(self._ov_src, dtype=np.int64)
+        ov_dst = np.asarray(self._ov_dst, dtype=np.int64)
         t_base = int(t[0]) if length else 0
         span = int(t.max()) - t_base if length else 0
         if span < 0 or span >= 1 << 32:

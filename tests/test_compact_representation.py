@@ -261,15 +261,13 @@ def test_bounded_builder_state_is_flat():
     stream = make_stream(20_000, seed=1)
     soa = stream.soa()
     b = builder(max_live_nodes=256)
-    sizes = []
+    sizes = [b.state_bytes()]
     for i in range(len(stream)):
         b.append(int(soa.x[i]), int(soa.y[i]), int(soa.t[i]), int(soa.p[i]))
-        if i % 1000 == 999:
-            sizes.append(b.state_bytes())
-    # The edge log capacity-doubles until its recycle threshold engages;
-    # after warm-up the state must be exactly flat.
-    tail = sizes[len(sizes) // 2 :]
-    assert len(set(tail)) == 1
+        sizes.append(b.state_bytes())
+    # Every array is allocated at its final size up front: the state is
+    # identical from before the first event to the last.
+    assert len(set(sizes)) == 1
     assert b.num_live_nodes <= 256
     graph = b.graph()
     assert graph.num_nodes == b.num_live_nodes

@@ -1,5 +1,7 @@
 """Bounded-state, self-healing serving: expiry, audits, recovery, checkpoints."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from repro.core import (
 )
 from repro.datasets import make_gestures_dataset
 from repro.events.stream import EventStream, Resolution
-from repro.gnn import BoundedHashInserter, HashInserter
+from repro.gnn import LiveWindow
 from repro.gnn.async_network import SNAPSHOT_FORMAT, AsyncEventGNN
 from repro.gnn.models import build_event_graph
 from repro.nn import no_grad
@@ -75,6 +77,99 @@ def burst_slices(stream, gap_us=50_000):
     ]
 
 
+class TestLiveWindow:
+    """The one node store behind every incremental path."""
+
+    def test_grow_maps_ids_to_rows_and_doubles(self):
+        w = LiveWindow(feat=(np.float64, 2))
+        for i in range(100):
+            row = w.row(w.append())
+            w.t[row] = i
+            w.feat[row] = (i, -i)
+        assert w.count == 100 and w.start == 0
+        assert w.t.shape[0] == 128  # 64 rows, doubled once
+        ids = np.arange(100)
+        assert np.array_equal(w.rows(ids), ids)
+        assert np.array_equal(w.t[w.live_rows()], ids)
+        assert np.array_equal(w.feat[w.live_rows(), 1], -ids)
+        assert w.evict(10**9) == 0  # grow mode keeps every node
+
+    def test_ring_maps_ids_modulo_capacity_and_never_grows(self):
+        w = LiveWindow(capacity=4, feat=(np.float64, 2))
+        size = w.state_bytes()
+        for i in range(10):
+            w.evict(i, reserve=1)
+            row = w.row(w.append())
+            w.t[row] = i
+        assert w.row(9) == 1
+        assert np.array_equal(w.rows(np.arange(4, 8)), [0, 1, 2, 3])
+        assert (w.start, w.count) == (6, 10)
+        assert np.array_equal(w.t[w.live_rows()], [6, 7, 8, 9])
+        assert w.state_bytes() == size
+
+    def test_evict_reserve(self):
+        w = LiveWindow(capacity=3)
+        for _ in range(3):
+            w.append()
+        with pytest.raises(RuntimeError):
+            w.append()  # full: appending would overwrite a live row
+        assert w.evict(0, reserve=0) == 0  # full is within budget
+        assert w.evict(0, reserve=1) == 1  # room for one more
+        assert w.start == 1
+        w.append()
+        assert w.evict(0, reserve=3) == 3  # room for three: all go
+        assert w.num_live == 0
+
+    def test_evict_at_window_cutoff(self):
+        w = LiveWindow(capacity=8, window_us=15)
+        for t in (0, 10, 20, 30):
+            w.t[w.row(w.append())] = t
+        assert w.evict(35) == 2  # cutoff 20: t=0 and t=10 are stale
+        assert w.evict(35) == 0  # t=20 sits exactly at the cutoff: live
+        assert w.evict(36) == 1
+        assert w.evict(10**6) == 1  # every node stale: the window empties
+        assert w.num_live == 0
+
+    @pytest.mark.parametrize("capacity", [None, 4])
+    def test_snapshot_round_trip(self, capacity):
+        w = LiveWindow(capacity, window_us=100, feat=(np.float64, 2))
+        for i in range(7):
+            w.evict(10 * i, reserve=1)
+            row = w.row(w.append())
+            w.t[row] = 10 * i
+            w.pos[row] = (i, i + 1, i / 2)
+            w.feat[row] = (i, 2 * i)
+        snap = w.snapshot()
+        fresh = LiveWindow(capacity, window_us=100, feat=(np.float64, 2))
+        fresh.restore(snap, w.start, w.count)
+        assert (fresh.start, fresh.count) == (w.start, w.count)
+        for name in ("pos", "t", "feat"):
+            assert np.array_equal(
+                getattr(fresh, name)[fresh.live_rows()],
+                getattr(w, name)[w.live_rows()],
+            )
+        # The snapshot owns its arrays: later appends leave it intact.
+        t_before = snap["t"].copy()
+        w.evict(70, reserve=1)
+        w.t[w.row(w.append())] = 70
+        assert np.array_equal(snap["t"], t_before)
+
+    def test_restore_validates_before_changing_anything(self):
+        w = LiveWindow(capacity=4, feat=(np.float64, 2))
+        w.t[w.row(w.append())] = 5
+        snap = w.snapshot()
+        bad = dict(snap, feat=snap["feat"][:, :1])
+        with pytest.raises(ValueError, match="feat"):
+            w.restore(bad, 0, 1)
+        with pytest.raises(ValueError, match="malformed"):
+            w.restore(dict(snap, t=object()), 0, 1)
+        with pytest.raises(ValueError, match="live range"):
+            w.restore(snap, 0, 5)  # five live nodes in four rows
+        with pytest.raises(ValueError, match="live range"):
+            w.restore(snap, 2, 1)
+        assert (w.start, w.count, int(w.t[0])) == (0, 1, 5)
+
+
 class TestBoundedEngine:
     def _engine(self, gnn, **kw):
         kw.setdefault("window_us", 20_000)
@@ -90,7 +185,7 @@ class TestBoundedEngine:
 
     def test_bounded_inserter_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
-            BoundedHashInserter(radius=4.0, capacity=0)
+            LiveWindow(capacity=0)
 
     def test_property_bounded_equals_batch_on_live_window(self, gnn):
         """Satellite: bounded per-event scores == batch forward per burst."""
@@ -112,16 +207,59 @@ class TestBoundedEngine:
             num_bursts=2, events_per_burst=1500, span_us=30_000, seed=5
         )
         engine = self._engine(gnn, max_live_nodes=16, window_us=1 << 62)
-        sizes = []
+        sizes = [engine.state_bytes()]
         for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
             report = engine.process_event(int(x), int(y), int(t), int(p))
             assert report.live_nodes <= 16
             sizes.append(engine.state_bytes())
         assert engine.num_live_nodes <= 16
-        # Once the recycled edge log has warmed up the footprint is
-        # flat: no array reallocates over the final third of the stream,
-        # however many more events arrive.
-        assert len(set(sizes[-len(sizes) // 3 :])) == 1
+        # Every array is allocated at its final size up front: the
+        # footprint is identical from before the first event to the last.
+        assert len(set(sizes)) == 1
+
+    def test_dead_conv2_unit_keeps_bounded_equal_to_batch(self, gnn):
+        """A conv2 unit that never fires holds a running max of 0 that
+        every evicted row attains; the readout must stay exact while
+        stale nodes are evicted under live ones."""
+        model = copy.deepcopy(gnn.model)
+        dead = 0
+        for layer in (model.conv2.self_mlp, model.conv2.mlp.layers[-1]):
+            layer.weight.data[dead] = 0.0
+            layer.bias.data[dead] = -1e3
+        engine = AsyncEventGNN(
+            model,
+            radius=gnn.config.radius,
+            time_scale_us=gnn.config.time_scale_us,
+            max_degree=gnn.config.max_degree,
+            resolution=gnn._resolution,
+            include_position=gnn.config.include_position,
+            window_us=20_000,
+            max_live_nodes=256,
+        )
+        rng = np.random.default_rng(21)
+        # Early events in one corner, then a burst in the far corner
+        # that outlives them: they expire while the burst is live, and
+        # no edge joins the two groups.
+        early = np.sort(rng.integers(0, 6_000, size=30))
+        late = np.sort(rng.integers(12_000, 30_000, size=60))
+        for t in early:
+            x, y = rng.integers(0, 8, size=2)
+            engine.process_event(int(x), int(y), int(t), int(rng.choice([-1, 1])))
+        burst = EventStream.from_arrays(
+            late,
+            rng.integers(32, RES.width, size=late.size),
+            rng.integers(32, RES.height, size=late.size),
+            rng.choice([-1, 1], size=late.size),
+            RES,
+        )
+        for t, x, y, p in zip(burst.t, burst.x, burst.y, burst.p):
+            engine.process_event(int(x), int(y), int(t), int(p))
+        assert engine.expired_nodes_total == early.size
+        assert engine.num_live_nodes == late.size
+        assert np.all(engine.node_features()[:, dead] == 0.0)
+        with no_grad():
+            batch_scores = model(build_event_graph(burst, gnn.config)).data[0]
+        assert np.array_equal(engine.scores(), batch_scores)
 
     def test_empty_after_expiry_edge_case(self, gnn):
         """Satellite edge case: expiring everything yields the empty readout."""
