@@ -9,11 +9,12 @@ integer-quantized :class:`~repro.gnn.compact.CompactEventGraph`
 — :func:`~repro.gnn.models.build_event_graph` routes through the
 registry here, so every existing call site keeps working unchanged.
 
-Both representations subsample the stream identically and produce the
-same capped causal edge set (the dense batch pipeline and the
-incremental :class:`~repro.gnn.asynchronous.HashInserter` select
-identical edges — a tested invariant), so "dense vs compact" differs
-only in storage layout and, when enabled, quantization.
+Both representations subsample the stream identically and take the
+same capped causal edge set from one kernel,
+:meth:`~repro.gnn.asynchronous.HashInserter.insert_many` (pinned to the
+``radius_graph → make_causal → limit_in_degree`` oracle by tests), so
+"dense vs compact" differs only in storage layout and, when enabled,
+quantization.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from ..events.stream import EventStream
-from .build import limit_in_degree, make_causal, radius_graph_spatial_hash
+from .asynchronous import HashInserter
+from .build import limit_in_degree, radius_graph_spatial_hash
 from .compact import CompactGraphBuilder
 from .graph import EventGraph
 
@@ -73,25 +75,64 @@ class GraphRepresentation(Protocol):
         ...
 
 
+def _causal_capped_edges(stream: EventStream, config) -> np.ndarray:
+    """The capped causal edge set of a time-ordered stream, canonical order.
+
+    Runs the sliced :meth:`HashInserter.insert_many` kernel with an
+    unbounded liveness window, so memory follows one slice plus the
+    edge list rather than the all-pairs radius graph.  Equal to
+    ``limit_in_degree(make_causal(radius_graph(points, r), points), points, k)``
+    (a tested invariant).
+    """
+    soa = stream.soa()
+    n = len(soa)
+    if n >= 1 << 31:
+        raise ValueError("a dense causal build packs edges in int64: < 2**31 events")
+    inserter = HashInserter(
+        config.radius,
+        time_scale_us=config.time_scale_us,
+        window_us=1 << 62,
+        max_neighbours=config.max_degree,
+    )
+    # Each edge as one packed (src, dst) int64: 8 B per edge while the
+    # kernel runs, sorted into canonical order at the end.
+    parts: list[np.ndarray] = []
+    inserter._insert_sliced(
+        *inserter._columns(soa.x, soa.y, soa.t),
+        lambda src, dst: parts.append(src * n + dst),
+    )
+    keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    del parts
+    keys.sort()  # packed (src, dst) pairs are unique: a plain value sort
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.floor_divide(keys, n, out=edges[:, 0])
+    np.remainder(keys, n, out=edges[:, 1])
+    return edges
+
+
 class DenseGraphRepresentation:
     """The historical float64/int64 :class:`EventGraph` build.
 
-    Batch pipeline: spatial-hash radius graph → causal filter →
-    in-degree cap (``knn_graph``/``radius_graph_spatial_hash`` remain
-    its public building blocks).
+    With ``config.causal`` (every preset), the edges come from the same
+    sliced :meth:`HashInserter.insert_many` kernel as the compact build
+    (``_causal_capped_edges``); ``radius_graph`` → ``make_causal`` →
+    ``limit_in_degree`` remain its public, tested oracle.  A non-causal
+    build caps the symmetric spatial-hash radius graph.
     """
 
     name = "dense"
 
     def build(self, stream: EventStream, config) -> EventGraph:
         stream = subsample_stream(stream, config.max_events)
-        # Shared SoA columns: the same extraction feeds the node
-        # features in EventGraph.from_stream, so fields gather once.
-        points = stream.soa().point_cloud(config.time_scale_us)
-        edges = radius_graph_spatial_hash(points, config.radius)
         if config.causal:
-            edges = make_causal(edges, points)
-        edges = limit_in_degree(edges, points, config.max_degree)
+            edges = _causal_capped_edges(stream, config)
+        else:
+            points = stream.soa().point_cloud(config.time_scale_us)
+            edges = limit_in_degree(
+                radius_graph_spatial_hash(points, config.radius),
+                points,
+                config.max_degree,
+            )
         return EventGraph.from_stream(
             stream,
             edges,

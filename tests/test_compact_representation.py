@@ -276,6 +276,21 @@ def test_bounded_builder_state_is_flat():
     assert graph.ov_src.size == 0  # all live deltas fit uint16
 
 
+def test_grow_builder_keeps_no_edge_log():
+    # Edges go straight into the neighbour table, batched or per event:
+    # the builder's state is its node store and nothing else.
+    stream = make_stream(3_000, seed=2)
+    soa = stream.soa()
+    b = builder(quantization_bits=0)
+    b.extend(soa.x[:2_000], soa.y[:2_000], soa.t[:2_000], soa.p[:2_000])
+    assert b.state_bytes() == b._window.state_bytes()
+    for i in range(2_000, 3_000):
+        b.append(int(soa.x[i]), int(soa.y[i]), int(soa.t[i]), int(soa.p[i]))
+    assert b.state_bytes() == b._window.state_bytes()
+    assert b.graph().num_edges > 3_000
+    assert b._inserter.edges().size == 0
+
+
 def test_bounded_builder_matches_unbounded_on_live_window():
     stream = make_stream(1_500, seed=4)
     soa = stream.soa()
@@ -335,6 +350,20 @@ def test_from_columns_validation():
             radius=3.0,
             max_degree=4,
         )
+
+
+def test_is_causal_without_and_with_time_order():
+    kw = dict(time_scale_us=1000.0, radius=3.0, max_degree=4)
+    cols = (np.array([1, 2, 3]), np.array([1, 2, 3]))
+    p = np.array([1, -1, 1])
+    edges = np.array([[0, 2], [1, 2]])
+    ordered = CompactEventGraph.from_columns(*cols, np.array([0, 10, 20]), p, edges, **kw)
+    assert ordered.is_causal()
+    # Node 1 is later than node 2: the table's lower-id source is not
+    # enough, the edge is checked against the timestamps.
+    unordered = CompactEventGraph.from_columns(*cols, np.array([0, 30, 20]), p, edges, **kw)
+    assert not unordered.is_causal()
+    assert unordered.to_event_graph().is_causal() is False
 
 
 def test_overflow_deltas_round_trip():
