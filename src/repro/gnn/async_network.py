@@ -59,6 +59,8 @@ __all__ = ["AsyncEventGNN", "AsyncStepReport", "SNAPSHOT_FORMAT"]
 #: Version tag of the :meth:`AsyncEventGNN.snapshot` checkpoint schema.
 SNAPSHOT_FORMAT = "async-gnn/v1"
 
+_NO_NEIGHBOURS = np.zeros(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class AsyncStepReport:
@@ -206,8 +208,8 @@ class AsyncEventGNN:
 
     def state_bytes(self) -> int:
         """Bytes held in per-node storage (the node store's feature,
-        position and time columns, the inserter's edge log and the
-        running readout).
+        position and time columns, the inserter's edge log — none in
+        bounded mode — and the running readout).
 
         In bounded mode every term is fixed at construction, so this
         gauge is the same from the first event to the last.  Hash-bucket
@@ -346,11 +348,12 @@ class AsyncEventGNN:
             )
         expired = self._evict(int(t_us), reserve=1)
         cands_before = self._inserter.stats.candidates_examined
-        cursor = self._inserter.edge_cursor()
-        node = self._inserter.insert(float(x), float(y), int(t_us))
+        self._neighbours = _NO_NEIGHBOURS
+        node = self._inserter._insert_one(
+            float(x), float(y), int(t_us), self._take_edges
+        )
         candidates = self._inserter.stats.candidates_examined - cands_before
-        new_edges = self._inserter.edges_since(cursor)
-        neighbours = new_edges[:, 0] if new_edges.size else np.zeros(0, dtype=np.int64)
+        neighbours = self._neighbours
 
         feats = [1.0 if polarity == 1 else 0.0, 1.0 if polarity == -1 else 0.0]
         if self.include_position:
@@ -395,6 +398,13 @@ class AsyncEventGNN:
             expired_nodes=expired,
             live_nodes=self.num_live_nodes,
         )
+
+    def _take_edges(self, src: np.ndarray, dst: int) -> None:
+        """Edge sink of :meth:`process_event`: keep the new node's
+        sources, and log them when unbounded (for :meth:`built_graph`)."""
+        self._neighbours = src
+        if self.max_live_nodes is None:
+            self._inserter._append_edges(src, dst)
 
     def process_stream(self, stream) -> list[AsyncStepReport]:
         """Incorporate every event of an :class:`~repro.events.EventStream`."""
@@ -513,13 +523,13 @@ class AsyncEventGNN:
     def built_graph(self):
         """The graph accumulated so far, as an :class:`EventGraph`.
 
-        Unbounded mode only: under eviction the retained edge log is
-        partial, so there is no complete graph to return.
+        Unbounded mode only: bounded mode recycles node rows and keeps
+        no edge log, so there is no complete graph to return.
         """
         if self.max_live_nodes is not None:
             raise RuntimeError(
                 "built_graph() requires the unbounded engine; bounded "
-                "mode recycles node and edge storage"
+                "mode recycles node storage and keeps no edge log"
             )
         from .graph import EventGraph
 
@@ -548,7 +558,7 @@ class AsyncEventGNN:
         if self.max_live_nodes is not None:
             raise RuntimeError(
                 "built_compact_graph() requires the unbounded engine; "
-                "bounded mode recycles node and edge storage"
+                "bounded mode recycles node storage and keeps no edge log"
             )
         from .compact import CompactEventGraph
 
