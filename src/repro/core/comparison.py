@@ -114,10 +114,12 @@ def run_comparison(
     test: EventDataset,
     temporal_labels: tuple[int, ...] = (),
     pipelines: dict[str, ParadigmPipeline] | None = None,
-    parallel=None,
-    cache=None,
 ) -> ComparisonResult:
-    """Train and measure all three pipelines, then rate every axis.
+    """Train and measure all three pipelines serially, then rate every axis.
+
+    The plain in-process loop; ``repro.parallel.run_sweep`` with
+    ``SweepSpec(kind="comparison")`` adds sharded execution and
+    representation caching and must produce byte-identical results.
 
     Args:
         train, test: a shared dataset split.
@@ -125,34 +127,10 @@ def run_comparison(
         pipelines: override the default pipeline instances (keys must be
             'SNN', 'CNN', 'GNN'; values may be pipeline instances or
             the config dataclasses of :mod:`repro.core.presets`).
-        parallel: optional
-            :class:`~repro.parallel.sharding.ParallelConfig` — routes
-            the run through the sharded executor
-            (:func:`repro.parallel.run_sweep`), whose results are
-            byte-identical to this serial path.
-        cache: optional :class:`~repro.parallel.cache.CacheConfig`
-            controlling representation memoization on the parallel
-            path.
 
     Returns:
         The filled comparison result.
     """
-    if parallel is not None or cache is not None:
-        from ..parallel.api import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            kind="comparison",
-            train=train,
-            test=test,
-            temporal_labels=tuple(temporal_labels),
-            pipelines=pipelines,
-        )
-        if parallel is not None:
-            spec.parallel = parallel
-        if cache is not None:
-            spec.cache = cache
-        return run_sweep(spec).result
-
     if pipelines is None:
         pipelines = {
             "SNN": SNNPipeline(),

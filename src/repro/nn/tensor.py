@@ -35,10 +35,12 @@ __all__ = [
 class _EngineState(threading.local):
     """Per-thread autograd flags.
 
-    The parallel executor's thread backend runs shards concurrently in one
-    process; ``no_grad``/``stable_matmul`` entered on one shard's thread
-    must not leak into another shard mid-training, so both flags live in
-    thread-local storage rather than module globals.
+    :class:`~repro.reliability.runner.StageGuard` runs timed pipeline
+    stages on daemon threads, and a stage that overruns its timeout is
+    abandoned while it may still be running.  ``no_grad``/``stable_matmul``
+    entered on such a thread must not leak into the caller's later
+    training, so both flags live in thread-local storage rather than
+    module globals.
     """
 
     def __init__(self) -> None:

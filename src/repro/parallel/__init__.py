@@ -1,15 +1,13 @@
 """Sharded parallel execution and content-addressed representation caching.
 
-The ROADMAP's scaling question: the comparison, robustness and
-streaming grids are embarrassingly parallel (paradigm × condition ×
-recording), yet the legacy entry points ran them serially and
-re-encoded every event stream from scratch.  This package supplies the
-missing execution layer behind one unified API:
+The comparison, robustness and streaming grids are embarrassingly
+parallel (paradigm × condition × recording), and their cells re-encode
+the same recordings.  This package runs all three behind one API:
 
 * :mod:`~repro.parallel.sharding` — deterministic work-shard planning
   (the plan depends only on the grid, never on the worker count),
-  per-shard seed derivation via :func:`derive_seed`, and a seeded
-  process-pool executor with a serial fallback backend;
+  per-shard seed derivation via :func:`derive_seed`, and two backends:
+  serial (the reference) and a persistent forked process pool;
 * :mod:`~repro.parallel.cache` — a content-addressed
   :class:`RepresentationCache` keyed by the SHA-256 of the raw event
   bytes plus the canonicalised encoder config, memoizing CNN frame
@@ -20,9 +18,7 @@ missing execution layer behind one unified API:
   result that passes ``validate_snapshot`` and the shard-count
   invariants;
 * :mod:`~repro.parallel.api` — :class:`SweepSpec` / :func:`run_sweep`,
-  the single calling convention the legacy ``run_comparison``,
-  ``run_robustness_sweep`` and ``run_streaming_sweep`` entry points now
-  delegate to.
+  the one entry point of every sweep.
 
 Determinism contract: for any fixed spec, results and merged snapshots
 are byte-identical across backends and worker counts.

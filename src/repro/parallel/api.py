@@ -7,21 +7,21 @@ repository's three measurement grids — the Table-I comparison
 (``kind="streaming"``).  A :class:`SweepSpec` names the grid (paradigm
 factories × conditions), the seeds, the instrumentation and the
 ``parallel=`` knob; the executor plans deterministic shards
-(:func:`~repro.parallel.sharding.plan_shards`), runs them serially, on
-a thread pool or on a persistent forked process pool, memoizes event
-encodings through the content-addressed
-:class:`~repro.parallel.cache.RepresentationCache` (optionally one
-cache shared by every shard — ``CacheConfig(shared=True)``), and folds
-per-shard results and observability snapshots into one reconciled
-:class:`SweepResult`.
+(:func:`~repro.parallel.sharding.plan_shards`), runs them serially or
+on a persistent forked process pool, memoizes event encodings through
+the content-addressed :class:`~repro.parallel.cache.RepresentationCache`
+(optionally one cache shared by every shard —
+``CacheConfig(shared=True)``), and folds per-shard results and
+observability snapshots into one reconciled :class:`SweepResult`.
 
 Determinism contract: with the default per-shard instrumentation, the
 results **and** the merged snapshot are byte-identical for any
 ``n_workers`` — the shard plan ignores the worker count, every shard
 seeds and times itself (:class:`~repro.parallel.merge.DeterministicClock`)
 from its grid position alone, and the merge runs in shard-plan order.
-The legacy entry points (``run_comparison``, ``run_robustness_sweep``,
-``run_streaming_sweep``) are thin shims over this module.
+Every sweep of the repository runs through :func:`run_sweep`;
+:func:`repro.core.comparison.run_comparison` stays as the plain serial
+loop the comparison results are checked against.
 """
 
 from __future__ import annotations
@@ -47,7 +47,23 @@ __all__ = ["SweepSpec", "SweepResult", "run_sweep"]
 
 logger = logging.getLogger(__name__)
 
-_KINDS = ("comparison", "robustness", "streaming")
+# Sweep kind → the ``SweepSpec.options`` keys it accepts.
+_OPTIONS = {
+    "comparison": (),
+    "robustness": (
+        "fault_profile",
+        "checkpoint_dir",
+        "max_retries",
+        "stage_timeout_s",
+    ),
+    "streaming": (
+        "fallbacks",
+        "service_models",
+        "shed_policy",
+        "breaker_policy",
+        "queue_capacity",
+    ),
+}
 
 
 def _write_state(state_path: Path, done: Mapping[str, Any]) -> None:
@@ -111,10 +127,9 @@ class SweepSpec:
         pipelines: paradigm name → factory.  Config dataclasses
             (:mod:`repro.core.presets`) work on every backend;
             pipeline instances / predictor callables work on the
-            in-process backends (serial, thread) but not on the
-            process backend, which needs picklable, re-constructible
-            descriptions.  None selects the paradigm defaults of the
-            kind.
+            serial backend but not on the process backend, which
+            needs picklable, re-constructible descriptions.  None
+            selects the paradigm defaults of the kind.
         temporal_labels: comparison-only; labels distinguishable only
             through event timing.
         seed: master seed of the sweep.
@@ -122,7 +137,8 @@ class SweepSpec:
             ``fault_profile``, ``checkpoint_dir``, ``max_retries``,
             ``stage_timeout_s``; streaming: ``fallbacks``,
             ``service_models``, ``shed_policy``, ``breaker_policy``,
-            ``queue_capacity``.
+            ``queue_capacity``; comparison takes none.  Any other key
+            raises ``ValueError``.
         parallel: sharded-execution knobs.
         cache: representation-cache knobs (fresh per-shard in-memory
             tier by default; ``shared=True`` shares one cache across
@@ -227,8 +243,8 @@ def _execute_shard(
 
     ``task`` is the small per-shard payload; ``shared`` the heavy
     context common to every shard of the sweep (datasets, factories),
-    passed by reference on the in-process backends and shipped once as
-    a blob on the process backend.
+    passed by reference on the serial backend and shipped once as a
+    blob on the process backend.
     """
     if shared is not None:
         task = {**shared, **task}
@@ -396,13 +412,12 @@ def _cache_plumbing(
 ) -> tuple[dict[str, Any], RepresentationCache | None, Callable[[], None]]:
     """Shared-cache wiring: (base shared context, shared cache, cleanup).
 
-    With ``spec.cache.shared``, the in-process backends (serial,
-    thread) get **one** thread-safe cache instance handed to every
-    shard by reference, so replicated cells reuse each other's
-    encodings instead of re-encoding per shard.  The process backend
-    cannot share memory; there the shards get a common disk tier
-    instead — ``cache_dir`` if set, else a per-run temp directory that
-    the returned cleanup removes.
+    With ``spec.cache.shared``, the serial backend gets **one** cache
+    instance handed to every shard by reference, so replicated cells
+    reuse each other's encodings instead of re-encoding per shard.  The
+    process backend cannot share memory; there the shards get a common
+    disk tier instead — ``cache_dir`` if set, else a per-run temp
+    directory that the returned cleanup removes.
     """
     cache_config = spec.cache
     shared_cache: RepresentationCache | None = None
@@ -411,10 +426,8 @@ def _cache_plumbing(
         pass
 
     if cache_config.enabled and cache_config.shared:
-        if backend in ("serial", "thread"):
-            shared_cache = RepresentationCache.from_config(
-                cache_config, thread_safe=True
-            )
+        if backend == "serial":
+            shared_cache = RepresentationCache.from_config(cache_config)
         elif cache_config.cache_dir is None:
             tmp_dir = tempfile.mkdtemp(prefix="repro-sweep-cache-")
             cache_config = dataclasses.replace(cache_config, cache_dir=tmp_dir)
@@ -537,9 +550,9 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
             "checkpoint_dir": checkpoint_dir,
             "max_retries": options.get("max_retries", 1),
             "stage_timeout_s": options.get("stage_timeout_s"),
-            # Incremental state writes only single-threaded in-process;
-            # thread/pool workers return their fresh points and the
-            # coordinator persists atomically below.
+            # Incremental state writes only in-process; pool workers
+            # return their fresh points and the coordinator persists
+            # atomically below.
             "state_path": state_path if backend == "serial" else None,
             "done": done,
         }
@@ -659,14 +672,28 @@ def run_sweep(spec: SweepSpec, parallel: ParallelConfig | None = None) -> SweepR
         counts.
 
     Raises:
-        ValueError: on an unknown kind, an invalid grid, a shared
-            ``instrumentation`` combined with a concurrent backend, or
-            pipeline instances on the process backend.
+        ValueError: before any shard runs, on an unknown kind, an
+            ``options`` key the kind does not accept, a missing
+            ``train``/``test`` (comparison, robustness) or ``stream``
+            (streaming), an invalid grid, a shared ``instrumentation``
+            combined with the process backend, or pipeline instances
+            on the process backend.
         RuntimeError: when the merged snapshot fails reconciliation or
             a pipeline fails to fit.
     """
-    if spec.kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {spec.kind!r}")
+    if spec.kind not in _OPTIONS:
+        raise ValueError(f"kind must be one of {tuple(_OPTIONS)}, got {spec.kind!r}")
+    accepted = _OPTIONS[spec.kind]
+    unknown = sorted(set(spec.options) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown {spec.kind} options {unknown}; accepted keys: "
+            f"{list(accepted) if accepted else 'none'}"
+        )
+    required = ("stream",) if spec.kind == "streaming" else ("train", "test")
+    missing = [name for name in required if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"a {spec.kind} sweep needs {' and '.join(missing)}")
     parallel = parallel if parallel is not None else spec.parallel
     if spec.instrumentation is not None and parallel.resolve() != "serial":
         raise ValueError(

@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import pickle
-import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -124,10 +123,10 @@ class CacheConfig:
             deterministic, the disk tier is whatever previous runs
             left behind — counters may differ, values never do).
         shared: share one cache across every shard of a sweep instead
-            of giving each shard a fresh tier.  On the serial/thread
-            backends this is a single thread-safe in-memory cache; on
-            the process backend it plumbs a per-run disk tier under
-            every per-shard cache.  A shared cache is never bound to
+            of giving each shard a fresh tier.  On the serial backend
+            this is a single in-memory cache; on the process backend
+            it plumbs a per-run disk tier under every per-shard
+            cache.  A shared cache is never bound to
             per-shard instrumentation (its hit pattern depends on
             shard scheduling), so merged snapshots stay byte-identical
             across worker counts; sweep *results* are unaffected
@@ -163,12 +162,6 @@ class RepresentationCache:
             ``repr_cache_misses_total{kind}``,
             ``repr_cache_evictions_total`` and
             ``repr_cache_disk_errors_total{kind}``.
-        thread_safe: serialise bookkeeping behind a lock and make
-            :meth:`get_or_compute` single-flight per key — concurrent
-            callers asking for the same representation compute it
-            exactly once while other keys proceed in parallel.  This
-            is the mode the sweep executor uses for a cache shared
-            across thread-backend shards.
     """
 
     def __init__(
@@ -176,7 +169,6 @@ class RepresentationCache:
         max_entries: int | None = 256,
         cache_dir: str | Path | None = None,
         instrumentation: Any = None,
-        thread_safe: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None)")
@@ -184,8 +176,6 @@ class RepresentationCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._entries: OrderedDict[str, Any] = OrderedDict()
         self._obs = instrumentation
-        self._lock = threading.Lock() if thread_safe else None
-        self._flights: dict[str, threading.Lock] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -197,7 +187,6 @@ class RepresentationCache:
         cls,
         config: CacheConfig | None,
         instrumentation: Any = None,
-        thread_safe: bool = False,
     ) -> "RepresentationCache | None":
         """Build a cache from a :class:`CacheConfig` (None when disabled)."""
         if config is None:
@@ -208,7 +197,6 @@ class RepresentationCache:
             max_entries=config.max_entries,
             cache_dir=config.cache_dir,
             instrumentation=instrumentation,
-            thread_safe=thread_safe,
         )
 
     def bind(self, instrumentation: Any) -> "RepresentationCache":
@@ -259,46 +247,11 @@ class RepresentationCache:
             The representation (shared object — do not mutate).
         """
         key = content_key(kind, stream, config)
-        if self._lock is None:
-            return self._get_or_compute(kind, key, compute)
-
-        # Single-flight shared-cache path: the first caller of a key
-        # computes while holding that key's flight lock; latecomers wait
-        # on it and land a hit.  Aggregate misses therefore equal the
-        # number of unique keys, independent of shard scheduling.
-        with self._lock:
-            hit = self._memory_hit(kind, key)
-            if hit is not _MISSING:
-                return hit
-            flight = self._flights.setdefault(key, threading.Lock())
-        with flight:
-            with self._lock:
-                hit = self._memory_hit(kind, key)
-                if hit is not _MISSING:
-                    return hit
-            value = self._disk_load(kind, key)
-            from_disk = value is not _MISSING
-            if not from_disk:
-                value = compute()
-            with self._lock:
-                if from_disk:
-                    self.hits += 1
-                    self.disk_hits += 1
-                    self._count("repr_cache_hits_total", kind)
-                else:
-                    self.misses += 1
-                    self._count("repr_cache_misses_total", kind)
-                self._store(key, value)
-                self._flights.pop(key, None)
-            if not from_disk and self.cache_dir is not None:
-                self._write_disk(key, value)
-            return value
-
-    def _get_or_compute(self, kind: str, key: str, compute: Callable[[], Any]) -> Any:
-        """Unlocked lookup path (per-shard caches are single-threaded)."""
-        hit = self._memory_hit(kind, key)
-        if hit is not _MISSING:
-            return hit
+        if key in self._entries:
+            self.hits += 1
+            self._count("repr_cache_hits_total", kind)
+            self._entries.move_to_end(key)
+            return self._entries[key]
         value = self._disk_load(kind, key)
         if value is not _MISSING:
             self.hits += 1
@@ -313,15 +266,6 @@ class RepresentationCache:
         if self.cache_dir is not None:
             self._write_disk(key, value)
         return value
-
-    def _memory_hit(self, kind: str, key: str) -> Any:
-        """Memory-tier lookup with hit bookkeeping, or ``_MISSING``."""
-        if key not in self._entries:
-            return _MISSING
-        self.hits += 1
-        self._count("repr_cache_hits_total", kind)
-        self._entries.move_to_end(key)
-        return self._entries[key]
 
     def _disk_load(self, kind: str, key: str) -> Any:
         """Disk-tier lookup: the value, or ``_MISSING`` on absence/error.
@@ -348,11 +292,7 @@ class RepresentationCache:
             ImportError,
             IndexError,
         ):
-            if self._lock is not None:
-                with self._lock:
-                    self.disk_errors += 1
-            else:
-                self.disk_errors += 1
+            self.disk_errors += 1
             self._count("repr_cache_disk_errors_total", kind)
             try:
                 path.unlink(missing_ok=True)

@@ -14,14 +14,12 @@ serial ones:
   (:func:`derive_seed`), never from execution order or wall time.
 
 Backends: ``"serial"`` runs shards in-process in plan order (the
-debugging reference); ``"thread"`` fans them out on a
-``ThreadPoolExecutor`` — shards share the parent's memory (no pickling,
-no fork), and the NumPy-heavy stages release the GIL; ``"process"``
-fans them out on a persistent forked ``ProcessPoolExecutor`` that is
-spawned once and reused across sweeps.  ``"auto"`` picks ``serial``
-for one worker, ``thread`` when the machine has a single CPU or cannot
-fork (process isolation would only add spawn + pickle overhead there),
-and ``process`` otherwise.
+reference every other backend must match byte for byte);
+``"process"`` fans them out on a persistent forked
+``ProcessPoolExecutor`` that is spawned once and reused across sweeps.
+``"auto"`` picks ``serial`` for one worker, on a single-CPU machine or
+where fork is unavailable (a pool would only add spawn + pickle
+overhead there, or cannot start), and ``process`` otherwise.
 
 For the process backend, heavy per-sweep context (datasets, pipeline
 configs) is pickled **once** into a shared blob handed to every task;
@@ -38,7 +36,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -56,7 +54,7 @@ __all__ = [
     "shutdown_pools",
 ]
 
-_BACKENDS = ("auto", "serial", "thread", "process")
+_BACKENDS = ("auto", "serial", "process")
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,9 @@ class ParallelConfig:
 
     Attributes:
         n_workers: worker-pool width; 1 means serial.
-        backend: ``"serial"``, ``"thread"``, ``"process"``, or
-            ``"auto"`` — serial for one worker, threads when the
-            machine has one CPU or cannot fork, processes otherwise.
+        backend: ``"serial"``, ``"process"``, or ``"auto"`` — serial
+            for one worker, on one CPU or without fork, processes
+            otherwise.
     """
 
     n_workers: int = 1
@@ -113,10 +111,12 @@ class ParallelConfig:
         """The concrete backend this configuration runs on."""
         if self.backend != "auto":
             return self.backend
-        if self.n_workers <= 1:
+        if (
+            self.n_workers <= 1
+            or (os.cpu_count() or 1) <= 1
+            or _fork_context() is None
+        ):
             return "serial"
-        if (os.cpu_count() or 1) <= 1 or _fork_context() is None:
-            return "thread"
         return "process"
 
 
@@ -303,11 +303,11 @@ def run_shards(
             Called as ``worker(task)``, or ``worker(task, shared)``
             when a shared context is given.
         parallel: backend selection.
-        shared: optional context common to every task.  Serial and
-            thread backends pass it by reference (zero copies); the
-            process backend pickles it once into a blob that each pool
-            child unpickles and caches, instead of re-pickling the
-            heavy fields into every per-shard payload.
+        shared: optional context common to every task.  The serial
+            backend passes it by reference (zero copies); the process
+            backend pickles it once into a blob that each pool child
+            unpickles and caches, instead of re-pickling the heavy
+            fields into every per-shard payload.
 
     Returns:
         Worker results, ordered like ``tasks`` regardless of
@@ -322,13 +322,6 @@ def run_shards(
             return [worker(task) for task in tasks]
         return [worker(task, shared) for task in tasks]
     workers = min(parallel.n_workers, max(len(tasks), 1))
-    if backend == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            if shared is None:
-                futures = [pool.submit(worker, task) for task in tasks]
-            else:
-                futures = [pool.submit(worker, task, shared) for task in tasks]
-            return [future.result() for future in futures]
     pool = _process_pool(workers, context)
     if shared is None:
         futures = [pool.submit(worker, task) for task in tasks]

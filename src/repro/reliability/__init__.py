@@ -66,7 +66,6 @@ from .sweep import (
     rate_sweep,
     robustness_scores,
     run_paradigm_curve,
-    run_robustness_sweep,
 )
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "SweepPoint",
     "RobustnessSweepResult",
     "run_paradigm_curve",
-    "run_robustness_sweep",
     "robustness_scores",
     "rate_sweep",
     "attach_to_comparison",

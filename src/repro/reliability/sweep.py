@@ -15,12 +15,15 @@ Results reduce to a *retained-accuracy* score per paradigm
 (:func:`robustness_scores`), which
 :func:`repro.core.comparison.attach_robustness` folds back into the
 regenerated comparison table.
+
+The sweep runs through
+``repro.parallel.run_sweep(SweepSpec(kind="robustness", ...))``; this
+module holds its per-paradigm curve (:func:`run_paradigm_curve`), the
+result types and the scoring.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -28,7 +31,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..core.comparison import PARADIGMS, ComparisonResult, attach_robustness
-from ..core.pipeline import CNNPipeline, GNNPipeline, ParadigmPipeline, SNNPipeline
+from ..core.pipeline import ParadigmPipeline
 from ..core.ratings import Rating, rate_robustness
 from ..datasets.base import EventDataset
 from .faults import (
@@ -49,7 +52,6 @@ __all__ = [
     "SweepPoint",
     "RobustnessSweepResult",
     "run_paradigm_curve",
-    "run_robustness_sweep",
     "robustness_scores",
 ]
 
@@ -187,14 +189,6 @@ def attach_to_comparison(
     return attach_robustness(comparison, robustness_scores(result))
 
 
-def _default_pipelines(seed: int) -> dict[str, ParadigmPipeline]:
-    return {
-        "SNN": SNNPipeline(seed=seed),
-        "CNN": CNNPipeline(seed=seed),
-        "GNN": GNNPipeline(seed=seed),
-    }
-
-
 def _point_key(paradigm: str, severity: float) -> str:
     return f"{paradigm}@{severity:.6f}"
 
@@ -290,85 +284,6 @@ def run_paradigm_curve(
         if on_point is not None:
             on_point(key, point)
     return points
-
-
-def run_robustness_sweep(
-    train: EventDataset,
-    test: EventDataset,
-    severities: Sequence[float] = (0.0, 0.25, 0.5, 0.75),
-    pipelines: dict[str, ParadigmPipeline] | None = None,
-    seed: int = 0,
-    fault_profile=default_fault_profile,
-    checkpoint_dir: str | Path | None = None,
-    max_retries: int = 1,
-    stage_timeout_s: float | None = None,
-    instrumentation=None,
-) -> RobustnessSweepResult:
-    """Measure accuracy-degradation curves for all three paradigms.
-
-    .. deprecated::
-        Thin shim over the unified sweep entry point — prefer
-        ``repro.parallel.run_sweep(SweepSpec(kind="robustness", ...))``,
-        which adds sharded parallel execution and representation
-        caching behind the same semantics.  This signature keeps
-        working and produces identical results.
-
-    Each pipeline is trained once (on the recordings of ``train`` that
-    pass validation) and evaluated at every severity with independently
-    seeded fault injection.  The whole sweep is deterministic in
-    ``seed`` and never raises on per-recording failures — they are
-    quarantined or recorded in the per-point
-    :class:`~repro.reliability.runner.RunReport`.
-
-    Args:
-        train, test: a shared dataset split (may deliberately contain
-            corrupted recordings; they are quarantined, not fatal).
-        severities: ascending fault intensities; include 0.0 first so
-            the retained-accuracy normalisation has a clean anchor.
-        pipelines: override the default pipeline instances (keys must be
-            'SNN', 'CNN', 'GNN').
-        seed: master seed for fault injection.
-        fault_profile: severity → :class:`FaultModel` mapping (None for
-            the clean condition); defaults to
-            :func:`default_fault_profile`.
-        checkpoint_dir: when given, fitted models checkpoint here and
-            completed sweep points persist to ``sweep_state.json`` —
-            re-running with the same directory resumes instead of
-            recomputing.
-        max_retries: per-stage retry budget of the hardened runner.
-        stage_timeout_s: per-stage wall-clock budget (None = unlimited).
-        instrumentation: optional
-            :class:`~repro.observability.Instrumentation` shared by the
-            hardened runners of all three paradigms (guard spans,
-            ``guard_*`` and ``runner_records_total`` counters).
-
-    Returns:
-        The sweep result with one curve per paradigm.
-    """
-    warnings.warn(
-        "run_robustness_sweep is deprecated; use "
-        "repro.parallel.run_sweep(SweepSpec(kind='robustness', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..parallel.api import SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        kind="robustness",
-        train=train,
-        test=test,
-        conditions=tuple(severities),
-        pipelines=pipelines,
-        seed=seed,
-        options={
-            "fault_profile": fault_profile,
-            "checkpoint_dir": checkpoint_dir,
-            "max_retries": max_retries,
-            "stage_timeout_s": stage_timeout_s,
-        },
-        instrumentation=instrumentation,
-    )
-    return run_sweep(spec).result
 
 
 def _point_from_dict(data: dict[str, Any]) -> SweepPoint:

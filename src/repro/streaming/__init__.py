@@ -56,7 +56,6 @@ from .sweep import (
     overload_scores,
     run_overload_demo,
     run_paradigm_stream,
-    run_streaming_sweep,
 )
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "StreamingPoint",
     "StreamingSweepResult",
     "run_paradigm_stream",
-    "run_streaming_sweep",
     "overload_scores",
     "attach_to_comparison",
     "degradation_violations",

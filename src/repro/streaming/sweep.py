@@ -15,7 +15,10 @@ service model is calibrated so each paradigm sustains the stream's mean
 rate with that much headroom.  Curves reduce to one delivered-fraction
 score per paradigm (:func:`overload_scores`) which
 :func:`repro.core.comparison.attach_overload` folds into the regenerated
-Table I next to the measured robustness row.
+Table I next to the measured robustness row.  The sweep runs through
+``repro.parallel.run_sweep(SweepSpec(kind="streaming", ...))``; this
+module holds its per-paradigm curve (:func:`run_paradigm_stream`), the
+result types and the scoring.
 
 The module also carries the deterministic burst demo
 (:func:`run_overload_demo`) used by the tests, the benchmark and the CI
@@ -27,9 +30,8 @@ opened must have re-closed through half-open probes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +48,6 @@ __all__ = [
     "StreamingSweepResult",
     "calibrate_service",
     "run_paradigm_stream",
-    "run_streaming_sweep",
     "overload_scores",
     "attach_to_comparison",
     "degradation_violations",
@@ -288,77 +289,6 @@ def run_paradigm_stream(
         )
         points.append(StreamingPoint(load, executor.run(stream, load_factor=load)))
     return points
-
-
-def run_streaming_sweep(
-    stream: EventStream,
-    window_us: int,
-    load_factors: Sequence[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
-    predictors: Mapping[str, Any] | None = None,
-    fallbacks: Mapping[str, Sequence[Any]] | None = None,
-    service_models: Mapping[str, ServiceModel] | None = None,
-    shed_policy: ShedPolicy | None = None,
-    breaker_policy: BreakerPolicy | None = None,
-    queue_capacity: int = 16,
-    seed: int = 0,
-) -> StreamingSweepResult:
-    """Measure graceful-degradation curves for all three paradigms.
-
-    .. deprecated::
-        Thin shim over the unified sweep entry point — prefer
-        ``repro.parallel.run_sweep(SweepSpec(kind="streaming", ...))``,
-        which adds sharded parallel execution behind the same
-        semantics.  This signature keeps working and produces
-        identical results.
-
-    Each paradigm's predictor streams the same workload once per load
-    factor through a fresh executor (fresh queue, breakers and shedding
-    controller — points are independent).  The whole sweep is
-    deterministic in ``seed``.
-
-    Args:
-        stream: the workload (split into ``window_us`` windows per run).
-        window_us: window length.
-        load_factors: ascending offered-load multipliers; include values
-            above 1.0 so :func:`overload_scores` measures real stress.
-        predictors: paradigm name → fitted pipeline or predictor
-            callable (keys must be 'SNN', 'CNN', 'GNN'); defaults to
-            deterministic stand-in classifiers, which exercise the
-            executor without the cost of training.
-        fallbacks: optional per-paradigm fallback stage chains.
-        service_models: per-paradigm virtual-time cost models; defaults
-            to :func:`calibrate_service` with :data:`CAPACITY_HEADROOM`.
-        shed_policy / breaker_policy / queue_capacity: executor knobs
-            shared by every run.
-        seed: seeds the breaker probe generators.
-
-    Returns:
-        The sweep result with one curve per paradigm.
-    """
-    warnings.warn(
-        "run_streaming_sweep is deprecated; use "
-        "repro.parallel.run_sweep(SweepSpec(kind='streaming', ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..parallel.api import SweepSpec, run_sweep
-
-    spec = SweepSpec(
-        kind="streaming",
-        stream=stream,
-        window_us=int(window_us),
-        conditions=tuple(load_factors),
-        pipelines=predictors,
-        seed=seed,
-        options={
-            "fallbacks": fallbacks,
-            "service_models": service_models,
-            "shed_policy": shed_policy,
-            "breaker_policy": breaker_policy,
-            "queue_capacity": queue_capacity,
-        },
-    )
-    return run_sweep(spec).result
 
 
 # ----------------------------------------------------------------------

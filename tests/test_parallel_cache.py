@@ -171,31 +171,6 @@ class TestRepresentationCache:
         assert reader.stats()["disk_errors"] == 1
         assert not list(tmp_path.rglob("*.pkl")) == []  # rewritten entry
 
-    def test_thread_safe_single_flight(self, stream):
-        import threading
-
-        cache = RepresentationCache(max_entries=16, thread_safe=True)
-        started = threading.Barrier(4)
-        computes = []
-
-        def compute():
-            computes.append(1)
-            return np.arange(3)
-
-        def worker():
-            started.wait()
-            cache.get_or_compute("k", stream, {"a": 1}, compute)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Exactly one flight computed; every other caller waited and hit.
-        assert len(computes) == 1
-        assert cache.stats()["misses"] == 1
-        assert cache.stats()["hits"] == 3
-
     def test_config_validation_and_from_config(self):
         with pytest.raises(ValueError):
             CacheConfig(max_entries=0)

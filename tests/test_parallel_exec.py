@@ -68,29 +68,33 @@ class TestDeriveSeed:
 
 
 class TestParallelConfig:
-    def test_resolution(self):
-        import os
-
-        from repro.parallel.sharding import _fork_context
+    def test_resolution(self, monkeypatch):
+        from repro.parallel import sharding
 
         assert ParallelConfig(n_workers=1).resolve() == "serial"
-        # Auto prefers threads where process isolation cannot help
-        # (single CPU) or cannot work (no fork), processes otherwise.
+        # Auto runs serially where a pool cannot help (one CPU) or
+        # cannot start (no fork), and on processes otherwise.
         expected = (
-            "thread"
-            if (os.cpu_count() or 1) <= 1 or _fork_context() is None
+            "serial"
+            if (sharding.os.cpu_count() or 1) <= 1 or sharding._fork_context() is None
             else "process"
         )
         assert ParallelConfig(n_workers=4).resolve() == expected
         assert ParallelConfig(n_workers=4, backend="serial").resolve() == "serial"
         assert ParallelConfig(n_workers=1, backend="process").resolve() == "process"
-        assert ParallelConfig(n_workers=4, backend="thread").resolve() == "thread"
+        with monkeypatch.context() as patch:
+            patch.setattr(sharding.os, "cpu_count", lambda: 1)
+            assert ParallelConfig(n_workers=4).resolve() == "serial"
+        with monkeypatch.context() as patch:
+            patch.setattr(sharding, "_fork_context", lambda: None)
+            assert ParallelConfig(n_workers=4).resolve() == "serial"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ParallelConfig(n_workers=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(backend="threads")
+        for backend in ("threads", "thread"):
+            with pytest.raises(ValueError):
+                ParallelConfig(backend=backend)
 
 
 class TestDeterministicClock:
@@ -186,16 +190,13 @@ class TestRunShards:
     def test_all_backends_agree_in_plan_order(self):
         serial = run_shards(self._tasks(), _echo_worker, ParallelConfig(n_workers=1))
         auto = run_shards(self._tasks(), _echo_worker, ParallelConfig(n_workers=2))
-        threads = run_shards(
-            self._tasks(), _echo_worker, ParallelConfig(n_workers=2, backend="thread")
-        )
         procs = run_shards(
             self._tasks(), _echo_worker, ParallelConfig(n_workers=2, backend="process")
         )
-        assert serial == auto == threads == procs
+        assert serial == auto == procs
         assert [r["shard"] for r in serial] == list(range(6))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_shared_context_reaches_every_worker(self, backend):
         results = run_shards(
             self._tasks(),
@@ -205,7 +206,7 @@ class TestRunShards:
         )
         assert [r["value"] for r in results] == [100 + i for i in range(6)]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_worker_errors_propagate(self, backend):
         with pytest.raises(RuntimeError, match="shard failed"):
             run_shards(

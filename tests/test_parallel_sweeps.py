@@ -3,9 +3,10 @@
 The acceptance criterion of the sharded executor: for every sweep kind
 (comparison, robustness, streaming) the results AND the merged
 observability snapshot are byte-identical across worker counts
-{1, 2, 4}; the legacy entry points are equivalent shims; the frozen
-config dataclasses construct pipelines identical to the positional
-keyword API.
+{1, 2, 4}; the comparison matches the plain serial ``run_comparison``
+loop; bad input fails before any shard runs; the frozen config
+dataclasses construct pipelines identical to the positional keyword
+API.
 """
 
 import numpy as np
@@ -31,8 +32,6 @@ from repro.parallel import (
     reconcile_shards,
     run_sweep,
 )
-from repro.reliability import run_robustness_sweep
-from repro.streaming import run_streaming_sweep
 from repro.streaming.sweep import make_bursty_stream
 
 WORKER_COUNTS = (1, 2, 4)
@@ -126,6 +125,13 @@ class TestComparisonBitIdentity:
         for n in WORKER_COUNTS[1:]:
             assert _comparison_bytes(comparison_runs[n].result) == reference
 
+    def test_matches_serial_reference_loop(self, split, configs, comparison_runs):
+        train, test = split
+        reference = run_comparison(train, test, pipelines=dict(configs))
+        assert _comparison_bytes(comparison_runs[1].result) == _comparison_bytes(
+            reference
+        )
+
     def test_snapshots_byte_identical(self, comparison_runs):
         reference = to_json(comparison_runs[1].snapshot)
         for n in WORKER_COUNTS[1:]:
@@ -193,33 +199,8 @@ class TestStreamingBitIdentity:
             assert to_json(streaming_runs[n].snapshot) == reference
 
 
-class TestThreadBackend:
-    """Explicit thread-backend coverage: results and snapshots must be
-    byte-identical to serial at every worker count (auto only exercises
-    threads on single-CPU hosts)."""
-
-    def _run(self, split, configs, n, backend, cache=None):
-        train, test = split
-        spec = SweepSpec(
-            kind="comparison",
-            train=train,
-            test=test,
-            pipelines=configs,
-            cache=cache if cache is not None else CacheConfig(),
-            parallel=ParallelConfig(n_workers=n, backend=backend),
-        )
-        return run_sweep(spec)
-
-    @pytest.mark.parametrize("n", WORKER_COUNTS)
-    def test_thread_matches_serial(self, split, configs, comparison_runs, n):
-        serial = comparison_runs[1]
-        threaded = self._run(split, configs, n, "thread")
-        assert _comparison_bytes(threaded.result) == _comparison_bytes(serial.result)
-        assert to_json(threaded.snapshot) == to_json(serial.snapshot)
-
-
 class TestSharedCache:
-    def _spec(self, split, configs, shared, n_workers=4):
+    def _spec(self, split, configs, shared, parallel):
         train, test = split
         return SweepSpec(
             kind="comparison",
@@ -228,12 +209,13 @@ class TestSharedCache:
             conditions=(0, 1),
             pipelines=configs,
             cache=CacheConfig(shared=shared),
-            parallel=ParallelConfig(n_workers=n_workers, backend="thread"),
+            parallel=parallel,
         )
 
     def test_shared_cache_same_results_fewer_misses(self, split, configs):
-        unshared = run_sweep(self._spec(split, configs, shared=False))
-        shared = run_sweep(self._spec(split, configs, shared=True))
+        serial = ParallelConfig(n_workers=1)
+        unshared = run_sweep(self._spec(split, configs, False, serial))
+        shared = run_sweep(self._spec(split, configs, True, serial))
         a = [_comparison_bytes(r) for r in unshared.result]
         b = [_comparison_bytes(r) for r in shared.result]
         assert a == b
@@ -246,11 +228,19 @@ class TestSharedCache:
     def test_shared_cache_keeps_snapshot_scheduling_free(self, split, configs):
         # Cache counters depend on shard scheduling when the cache is
         # shared, so they must stay out of the merged snapshot …
-        one = run_sweep(self._spec(split, configs, shared=True, n_workers=1))
-        four = run_sweep(self._spec(split, configs, shared=True, n_workers=4))
-        names = {c["name"] for c in four.snapshot["metrics"]["counters"]}
-        assert not any(name.startswith("repr_cache") for name in names)
-        # … which keeps the snapshot byte-identical across worker counts.
+        one = run_sweep(
+            self._spec(split, configs, True, ParallelConfig(n_workers=1))
+        )
+        four = run_sweep(
+            self._spec(
+                split, configs, True, ParallelConfig(n_workers=4, backend="process")
+            )
+        )
+        for res in (one, four):
+            names = {c["name"] for c in res.snapshot["metrics"]["counters"]}
+            assert not any(name.startswith("repr_cache") for name in names)
+        # … which keeps the snapshot byte-identical across backends and
+        # worker counts (one in-memory cache vs a shared disk tier).
         assert to_json(one.snapshot) == to_json(four.snapshot)
 
 
@@ -289,37 +279,6 @@ class TestResumeCrashSafety:
         state.write_text("[1, 2, 3]")  # valid JSON, wrong shape
         result = run_sweep(self._spec(split, configs, tmp_path))
         assert set(result.result.curves) == {"SNN", "CNN", "GNN"}
-
-
-class TestShimEquivalence:
-    def test_run_robustness_sweep_shim(self, split, configs, robustness_runs):
-        train, test = split
-        with pytest.warns(DeprecationWarning, match="run_robustness_sweep"):
-            legacy = run_robustness_sweep(
-                train, test, severities=(0.0, 0.4), pipelines=dict(configs), seed=0
-            )
-        assert _curve_bytes(legacy) == _curve_bytes(robustness_runs[1].result)
-
-    def test_run_streaming_sweep_shim(self, stream, streaming_runs):
-        with pytest.warns(DeprecationWarning, match="run_streaming_sweep"):
-            legacy = run_streaming_sweep(
-                stream, 10_000, load_factors=(0.5, 2.0), seed=0
-            )
-        assert _curve_bytes(legacy) == _curve_bytes(streaming_runs[1].result)
-
-    def test_run_comparison_parallel_knob(self, split, configs, comparison_runs):
-        train, test = split
-        legacy = run_comparison(train, test, pipelines=dict(configs))
-        routed = run_comparison(
-            train,
-            test,
-            pipelines=dict(configs),
-            parallel=ParallelConfig(n_workers=2),
-        )
-        assert _comparison_bytes(legacy) == _comparison_bytes(routed)
-        assert _comparison_bytes(routed) == _comparison_bytes(
-            comparison_runs[1].result
-        )
 
 
 class TestConfigConstructors:
@@ -383,6 +342,41 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             run_sweep(SweepSpec(kind="ablation"))
+
+    @pytest.mark.parametrize(
+        "kind,override,match",
+        [
+            ("streaming", {"options": {"queue_capacty": 1}}, "queue_capacity"),
+            ("robustness", {"options": {"max_retry": 2}}, "max_retries"),
+            ("comparison", {"options": {"fault_profile": None}}, "keys: none"),
+            ("comparison", {"train": None}, "needs train"),
+            ("comparison", {"test": None}, "needs test"),
+            ("robustness", {"train": None, "test": None}, "needs train and test"),
+            ("streaming", {"stream": None}, "needs stream"),
+        ],
+    )
+    def test_bad_input_fails_before_any_shard(
+        self, split, configs, stream, monkeypatch, kind, override, match
+    ):
+        from repro.parallel import api
+
+        def no_shards(*args, **kwargs):
+            raise AssertionError("a shard ran before validation")
+
+        monkeypatch.setattr(api, "run_shards", no_shards)
+        train, test = split
+        valid = {
+            "comparison": {"train": train, "test": test, "pipelines": configs},
+            "robustness": {
+                "train": train,
+                "test": test,
+                "conditions": (0.0,),
+                "pipelines": configs,
+            },
+            "streaming": {"stream": stream, "conditions": (1.0,)},
+        }[kind]
+        with pytest.raises(ValueError, match=match):
+            run_sweep(SweepSpec(kind=kind, **{**valid, **override}))
 
     def test_cache_knob_reaches_the_shards(self, split, configs):
         train, test = split

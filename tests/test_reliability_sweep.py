@@ -25,6 +25,7 @@ from repro.datasets import make_shapes_dataset, train_test_split
 from repro.datasets.base import EventDataset, EventSample
 from repro.events import Resolution
 from repro.gnn import GraphBuildConfig
+from repro.parallel import SweepSpec, run_sweep
 from repro.reliability import (
     OutOfOrderCorruption,
     RobustnessSweepResult,
@@ -33,7 +34,6 @@ from repro.reliability import (
     attach_to_comparison,
     rate_sweep,
     robustness_scores,
-    run_robustness_sweep,
 )
 
 SEVERITIES = (0.0, 0.5, 1.0)
@@ -73,9 +73,16 @@ def corrupted_split():
 @pytest.fixture(scope="module")
 def sweep(corrupted_split):
     train, test = corrupted_split
-    return run_robustness_sweep(
-        train, test, severities=SEVERITIES, pipelines=fast_pipelines(), seed=0
-    )
+    return run_sweep(
+        SweepSpec(
+            kind="robustness",
+            train=train,
+            test=test,
+            conditions=SEVERITIES,
+            pipelines=fast_pipelines(),
+            seed=0,
+        )
+    ).result
 
 
 class TestAcceptance:
@@ -98,9 +105,16 @@ class TestAcceptance:
 
     def test_deterministic_across_two_runs(self, sweep, corrupted_split):
         train, test = corrupted_split
-        rerun = run_robustness_sweep(
-            train, test, severities=SEVERITIES, pipelines=fast_pipelines(), seed=0
-        )
+        rerun = run_sweep(
+            SweepSpec(
+                kind="robustness",
+                train=train,
+                test=test,
+                conditions=SEVERITIES,
+                pipelines=fast_pipelines(),
+                seed=0,
+            )
+        ).result
         for name in sweep.curves:
             assert sweep.accuracies(name) == rerun.accuracies(name)
         assert robustness_scores(sweep) == robustness_scores(rerun)
@@ -115,17 +129,22 @@ class TestAcceptance:
 class TestSweepResume:
     def test_checkpoint_dir_resumes_points(self, corrupted_split, tmp_path):
         train, test = corrupted_split
-        kwargs = dict(
-            severities=SEVERITIES, seed=0, checkpoint_dir=tmp_path
-        )
-        first = run_robustness_sweep(
-            train, test, pipelines=fast_pipelines(), **kwargs
-        )
+
+        def spec():
+            return SweepSpec(
+                kind="robustness",
+                train=train,
+                test=test,
+                conditions=SEVERITIES,
+                pipelines=fast_pipelines(),
+                seed=0,
+                options={"checkpoint_dir": tmp_path},
+            )
+
+        first = run_sweep(spec()).result
         assert (tmp_path / "sweep_state.json").exists()
         assert (tmp_path / "snn_model.npz").exists()
-        second = run_robustness_sweep(
-            train, test, pipelines=fast_pipelines(), **kwargs
-        )
+        second = run_sweep(spec()).result
         for name in first.curves:
             assert first.accuracies(name) == second.accuracies(name)
 
@@ -134,18 +153,30 @@ class TestValidation:
     def test_rejects_unordered_severities(self, corrupted_split):
         train, test = corrupted_split
         with pytest.raises(ValueError, match="ascending"):
-            run_robustness_sweep(train, test, severities=(0.5, 0.0))
+            run_sweep(
+                SweepSpec(
+                    kind="robustness", train=train, test=test, conditions=(0.5, 0.0)
+                )
+            )
 
     def test_rejects_empty_severities(self, corrupted_split):
         train, test = corrupted_split
         with pytest.raises(ValueError, match="empty"):
-            run_robustness_sweep(train, test, severities=())
+            run_sweep(
+                SweepSpec(kind="robustness", train=train, test=test, conditions=())
+            )
 
     def test_rejects_partial_pipelines(self, corrupted_split):
         train, test = corrupted_split
         with pytest.raises(ValueError, match="pipelines"):
-            run_robustness_sweep(
-                train, test, pipelines={"SNN": SNNPipeline()}
+            run_sweep(
+                SweepSpec(
+                    kind="robustness",
+                    train=train,
+                    test=test,
+                    conditions=SEVERITIES,
+                    pipelines={"SNN": SNNPipeline()},
+                )
             )
 
 

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.datasets import make_gestures_dataset
 from repro.events import EVENT_DTYPE, EventStream, Resolution
+from repro.parallel import SweepSpec, run_sweep
 from repro.streaming import (
     BreakerPolicy,
     LAST_GOOD_STAGE,
@@ -25,7 +26,6 @@ from repro.streaming import (
     make_bursty_stream,
     overload_scores,
     run_overload_demo,
-    run_streaming_sweep,
 )
 
 RES = Resolution(32, 32)
@@ -263,9 +263,15 @@ class TestStreamingSweep:
         stream = make_bursty_stream(
             num_windows=60, burst_factor=1.0, burst_windows=(0, 0), seed=1
         )
-        return run_streaming_sweep(
-            stream, 10_000, load_factors=(0.5, 2.0, 6.0), seed=0
-        )
+        return run_sweep(
+            SweepSpec(
+                kind="streaming",
+                stream=stream,
+                window_us=10_000,
+                conditions=(0.5, 2.0, 6.0),
+                seed=0,
+            )
+        ).result
 
     def test_curves_cover_paradigms_and_balance(self):
         result = self._small_sweep()
@@ -309,11 +315,20 @@ class TestStreamingSweep:
     def test_sweep_validates_inputs(self):
         stream = make_bursty_stream(num_windows=5, seed=0)
         with pytest.raises(ValueError):
-            run_streaming_sweep(stream, 10_000, load_factors=())
+            run_sweep(SweepSpec(kind="streaming", stream=stream, conditions=()))
         with pytest.raises(ValueError):
-            run_streaming_sweep(stream, 10_000, load_factors=(2.0, 1.0))
+            run_sweep(
+                SweepSpec(kind="streaming", stream=stream, conditions=(2.0, 1.0))
+            )
         with pytest.raises(ValueError):
-            run_streaming_sweep(stream, 10_000, predictors={"SNN": count_mod})
+            run_sweep(
+                SweepSpec(
+                    kind="streaming",
+                    stream=stream,
+                    conditions=(0.5, 1.0, 2.0, 4.0, 8.0),
+                    pipelines={"SNN": count_mod},
+                )
+            )
 
 
 class TestCalibrateService:

@@ -1,17 +1,16 @@
 #!/usr/bin/env python
 """Benchmark the sharded executor and append to BENCH_parallel.json.
 
-Runs the same comparison grid through four legs — serial (the
-baseline), the process backend, the thread backend with a cold
-per-shard cache, and the thread backend with the shared
-representation-cache tier (``CacheConfig(shared=True)``) — verifies
-each parallel leg against the serial one, and appends one run record
-(timestamp, git revision, per-leg wall times and speedups, CPU count,
-bit-identity flags, cold vs shared cache stats) to the JSON trajectory
-file at the repository root.  Exits non-zero if any parallel leg
-diverges from serial.
+Runs the same comparison grid through three legs — serial with cold
+per-shard caches (the baseline), serial with the shared
+representation-cache tier (``CacheConfig(shared=True)``), and the
+forked process pool at 4 workers — verifies each leg against the
+baseline, and appends one run record (timestamp, git revision, per-leg
+wall times and speedups, CPU count, bit-identity flags, cold vs shared
+cache stats) to the JSON trajectory file at the repository root.
+Exits non-zero if any leg diverges from the baseline.
 
-Bit-identity is leg-specific by design: the cold legs must match the
+Bit-identity is leg-specific by design: the process leg must match the
 serial results *and* the merged instrumentation snapshot byte for
 byte; the shared-cache leg must match the serial results byte for
 byte, while its snapshot legitimately drops the per-shard
@@ -19,19 +18,15 @@ byte, while its snapshot legitimately drops the per-shard
 coordinator, never bound to shard instrumentation — that is what keeps
 its miss totals scheduling-independent).
 
-The speedups are reported honestly: on a single-CPU container neither
-a process pool nor a thread pool can beat serial wall-clock on the
-same work (``cpu_count`` is part of the record for exactly that
-reason).  The shared-cache leg is where parallelism pays on any CPU
-count — it eliminates the redundant encoder recomputation the cold
-legs repeat per shard.
+The speedups are reported as measured: on a single-CPU machine a
+process pool cannot beat serial wall-clock on the same work
+(``cpu_count`` is part of the record for exactly that reason).  The
+shared-cache leg measures what one sweep-wide cache saves on any CPU
+count — the encoder recomputation the cold legs repeat per shard.
 
 Usage:
     python tools/run_parallel_bench.py            # full grid
     python tools/run_parallel_bench.py --quick    # CI-sized grid
-    python tools/run_parallel_bench.py --quick --check-thread-speedup
-                                       # CI gate: fail if the best
-                                       # thread leg is slower than serial
 """
 
 import argparse
@@ -142,11 +137,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI-sized grid")
     parser.add_argument(
-        "--check-thread-speedup",
-        action="store_true",
-        help="exit non-zero unless the best thread leg beats serial",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=3,
@@ -172,39 +162,28 @@ def main(argv=None) -> int:
         repeats=args.repeats,
     )
     print(f"serial backend:                 {serial_s:8.2f}s")
+    serial_shared_s, serial_shared = timed_run(
+        train, test, configs, conditions, ParallelConfig(n_workers=1),
+        cache=CacheConfig(shared=True),
+        repeats=args.repeats,
+    )
+    print(f"serial + shared cache:          {serial_shared_s:8.2f}s")
     process4_s, process4 = timed_run(
         train, test, configs, conditions,
         ParallelConfig(n_workers=4, backend="process"),
         repeats=args.repeats,
     )
     print(f"process backend (4 workers):    {process4_s:8.2f}s")
-    thread4_s, thread4 = timed_run(
-        train, test, configs, conditions,
-        ParallelConfig(n_workers=4, backend="thread"),
-        repeats=args.repeats,
-    )
-    print(f"thread backend (4 workers):     {thread4_s:8.2f}s")
-    thread4_shared_s, thread4_shared = timed_run(
-        train, test, configs, conditions,
-        ParallelConfig(n_workers=4, backend="thread"),
-        cache=CacheConfig(shared=True),
-        repeats=args.repeats,
-    )
-    print(f"thread + shared cache (4 wkrs): {thread4_shared_s:8.2f}s")
 
     serial_bytes = comparison_bytes(serial.result)
-    serial_snap = to_json(serial.snapshot)
-    # Cold legs: results and merged snapshot must both match serial.
     identity = {
-        "process4": comparison_bytes(process4.result) == serial_bytes
-        and to_json(process4.snapshot) == serial_snap,
-        "thread4": comparison_bytes(thread4.result) == serial_bytes
-        and to_json(thread4.snapshot) == serial_snap,
         # Shared-cache leg: results must match; the snapshot drops the
         # per-shard repr_cache_* counters by design (coordinator-owned
         # cache), so only the results are compared.
-        "thread4_shared": comparison_bytes(thread4_shared.result)
-        == serial_bytes,
+        "serial_shared": comparison_bytes(serial_shared.result) == serial_bytes,
+        # Process leg: results and merged snapshot must both match.
+        "process4": comparison_bytes(process4.result) == serial_bytes
+        and to_json(process4.snapshot) == to_json(serial.snapshot),
     }
     bit_identical = all(identity.values())
 
@@ -212,9 +191,8 @@ def main(argv=None) -> int:
         return base / leg if leg > 0 else float("inf")
 
     speedups = {
+        "serial_shared": ratio(serial_s, serial_shared_s),
         "process4": ratio(serial_s, process4_s),
-        "thread4": ratio(serial_s, thread4_s),
-        "thread4_shared": ratio(serial_s, thread4_shared_s),
     }
     cpu_count = os.cpu_count() or 1
     for leg, s in speedups.items():
@@ -233,20 +211,18 @@ def main(argv=None) -> int:
                 "cells": num_cells,
             },
             "serial_s": serial_s,
+            "serial_shared_s": serial_shared_s,
             "process4_s": process4_s,
-            "thread4_s": thread4_s,
-            "thread4_shared_s": thread4_shared_s,
-            # Kept for trajectory continuity with pre-thread-backend
-            # records, where "parallel4"/"speedup" meant the process leg.
+            # Kept for trajectory continuity with earlier records, where
+            # "parallel4"/"speedup" meant the process leg.
             "parallel4_s": process4_s,
             "speedup": speedups["process4"],
-            "speedup_thread4": speedups["thread4"],
-            "speedup_thread4_shared": speedups["thread4_shared"],
+            "speedup_serial_shared": speedups["serial_shared"],
             "cpu_count": cpu_count,
             "bit_identical": bit_identical,
             "bit_identical_legs": identity,
             "cache_stats_cold": serial.cache_stats,
-            "cache_stats_shared": thread4_shared.cache_stats,
+            "cache_stats_shared": serial_shared.cache_stats,
         },
     }
     if args.output.exists():
@@ -264,16 +240,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.check_thread_speedup:
-        best_thread = max(speedups["thread4"], speedups["thread4_shared"])
-        if best_thread < 1.0:
-            print(
-                f"FAIL: best thread-leg speedup {best_thread:.2f}x < 1.0 "
-                "— the thread backend no longer pays for itself",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"thread-speedup gate passed ({best_thread:.2f}x)")
     return 0
 
 

@@ -33,11 +33,8 @@ from repro.datasets.base import EventDataset, EventSample
 from repro.events import Resolution
 from repro.gnn import GraphBuildConfig
 from repro.observability import Instrumentation, to_json, validate_snapshot
-from repro.reliability import (
-    OutOfOrderCorruption,
-    robustness_scores,
-    run_robustness_sweep,
-)
+from repro.parallel import SweepSpec, run_sweep
+from repro.reliability import OutOfOrderCorruption, robustness_scores
 
 
 def make_pipelines(quick: bool, seed: int):
@@ -110,15 +107,18 @@ def main() -> int:
 
     t0 = time.time()
     instrumentation = Instrumentation()  # wall clock: batch sweep, not virtual time
-    result = run_robustness_sweep(
-        train,
-        test,
-        severities=severities,
-        pipelines=make_pipelines(args.quick, args.seed),
-        seed=args.seed,
-        checkpoint_dir=args.checkpoint_dir,
-        instrumentation=instrumentation,
-    )
+    result = run_sweep(
+        SweepSpec(
+            kind="robustness",
+            train=train,
+            test=test,
+            conditions=severities,
+            pipelines=make_pipelines(args.quick, args.seed),
+            seed=args.seed,
+            options={"checkpoint_dir": args.checkpoint_dir},
+            instrumentation=instrumentation,
+        )
+    ).result
     elapsed = time.time() - t0
     scores = robustness_scores(result)
 
