@@ -252,8 +252,8 @@ def attach_graph_memory(
     :class:`~repro.core.metrics.PipelineMetrics`); the SNN/CNN cells are
     ``nan`` — they hold no event graph — and render ``?``.  With no
     arguments the rows are pulled from the already-measured GNN metrics;
-    explicit per-paradigm dicts override (for externally-benchmarked
-    numbers, e.g. ``BENCH_memory.json`` points).
+    explicit per-paradigm dicts override (for externally measured
+    numbers, e.g. e2ebench's ``gnn.build.bytes_per_event.*``).
 
     Args:
         result: a comparison produced by :func:`run_comparison`.

@@ -76,8 +76,9 @@ class AuditPolicy:
         every: audit cadence in windows (1 = every window).
         tolerance: maximum allowed ``max |incremental - shadow|`` score
             drift.  0 demands bit-level agreement (the unbounded
-            engine's guarantee); bounded sessions should set the
-            measured drift bound from ``BENCH_async.json``.
+            engine's guarantee); bounded sessions should set a drift
+            bound measured against the exact engine on their stream
+            (the frozen ``BENCH_async.json`` records hold one).
         seed: phase seed for the audit cadence.
         max_events: audited windows longer than this skip the shadow
             recompute (recorded as outcome="skipped") instead of paying

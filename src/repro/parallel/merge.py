@@ -16,11 +16,11 @@ reconciled snapshot:
 
 Because the serial backend runs the *same* per-shard instrumentation
 through the *same* merge, serial and parallel runs serialise to
-byte-identical snapshots — the property the parallel-smoke CI job and
-the bit-identity tests pin down.  :func:`reconcile_shards` then checks
-the shard-count invariants (``parallel_shards_total`` equals the plan
-size) the way :func:`~repro.observability.export.validate_snapshot`
-checks the schema.
+byte-identical snapshots — the property the bit-identity tests in
+``tests/test_parallel_sweeps.py`` pin down.  :func:`reconcile_shards`
+then checks the shard-count invariants (``parallel_shards_total``
+equals the plan size) the way
+:func:`~repro.observability.export.validate_snapshot` checks the schema.
 """
 
 from __future__ import annotations

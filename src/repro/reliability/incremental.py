@@ -276,8 +276,10 @@ def run_incremental_robustness(
             loose default tolerance instead: eviction makes them drift
             from the full-window shadow *by design*, and a tolerance
             below the drift bound would trip on every healthy window —
-            pass an explicit policy with the measured bound (see the
-            bounded point in ``BENCH_async.json``) to tighten it.
+            pass an explicit policy with a bound measured against the
+            exact engine on the served stream to tighten it (the frozen
+            bounded records in ``BENCH_async.json`` hold one such
+            measurement).
         max_live_nodes: serve in bounded-state mode with this budget
             (None = exact unbounded mode).
         fault_profile: severity → session-fault tuple mapping.

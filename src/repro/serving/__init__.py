@@ -23,8 +23,7 @@ as a live routing policy rather than a static table.
   shared-executor baseline, with exact per-tenant ledgers reconciling
   against the executors' balanced accounting and one merged
   observability snapshot;
-* :mod:`~repro.serving.replay` — the "million-user day" chaos replay
-  and the ``BENCH_serving.json`` capacity curves.
+* :mod:`~repro.serving.replay` — the "million-user day" chaos replay.
 
 Determinism contract: for a fixed tenant mix, seed and chaos schedule,
 fleet reports and merged snapshots are byte-identical across shard
@@ -47,7 +46,6 @@ from .replay import (
     ReplayResult,
     default_chaos,
     run_serving_replay,
-    sweep_tenant_counts,
 )
 from .router import (
     DEFAULT_SCORECARD,
@@ -87,5 +85,4 @@ __all__ = [
     "default_chaos",
     "ReplayResult",
     "run_serving_replay",
-    "sweep_tenant_counts",
 ]

@@ -18,10 +18,6 @@ chaos-targeted tenant's breaker transition log must show its primary
 paradigm tripping open, its windows re-routing onto the fallback chain,
 and the breaker re-closing after recovery with the primary serving
 again.
-
-:func:`sweep_tenant_counts` repeats the story across mix sizes to
-produce the ``BENCH_serving.json`` capacity curves: sustained tenants ×
-delivered-fraction-at-SLO, with and without isolation.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "default_chaos",
     "ReplayResult",
     "run_serving_replay",
-    "sweep_tenant_counts",
 ]
 
 #: Tolerance of the bulkhead acceptance check: a non-targeted tenant's
@@ -294,54 +289,3 @@ def run_serving_replay(
         snapshots=snapshots,
         validation_errors=validation_errors,
     )
-
-
-def sweep_tenant_counts(
-    tenant_counts: Sequence[int] = (6, 12, 18, 24, 36),
-    *,
-    num_windows: int = 60,
-    window_us: int = 10_000,
-    capacity: float = 16.0,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """The ``BENCH_serving.json`` capacity curves.
-
-    For each mix size, runs the chaos replay in both architectures and
-    records admitted tenants and fleet delivered-at-SLO, fault-free and
-    under chaos — the "sustained tenants × delivered fraction" curves
-    with and without bulkhead isolation.
-    """
-    curves: dict[str, list[dict[str, Any]]] = {"isolated": [], "shared": []}
-    for count in tenant_counts:
-        result = run_serving_replay(
-            count,
-            num_windows=num_windows,
-            window_us=window_us,
-            capacity=capacity,
-            seed=seed,
-            include_traces=False,
-        )
-        for mode, story in result.payload["modes"].items():
-            ff = story["fault_free"]["aggregate"]
-            ch = story["chaos"]["aggregate"]
-            curves[mode].append(
-                {
-                    "tenants_requested": count,
-                    "tenants_admitted": ff["admitted"],
-                    "delivered_at_slo_fault_free": ff["delivered_at_slo"],
-                    "delivered_at_slo_chaos": ch["delivered_at_slo"],
-                    "max_non_targeted_delta": story["max_non_targeted_delta"],
-                    "isolation_holds": story["isolation_holds"],
-                }
-            )
-    return {
-        "schema": "repro.serving.bench/1",
-        "config": {
-            "tenant_counts": list(tenant_counts),
-            "num_windows": num_windows,
-            "window_us": window_us,
-            "capacity": capacity,
-            "seed": seed,
-        },
-        "curves": curves,
-    }

@@ -5,8 +5,8 @@ log-softmax / cross-entropy nodes), ``repro.events.aer`` (zero-copy
 decode) and the ``Sequential`` pair-fusion rewrite all carry the same
 contract: **bitwise** identity with the reference composition, forward
 and gradients, including reduction tie-handling.  This suite is the
-oracle check; the timed comparison lives in
-``benchmarks/bench_hotpath_regression.py``.
+oracle check; speed is measured end to end by ``e2ebench/``, whose
+traced run times every model layer (``nn.layer_us.*``).
 """
 
 import threading

@@ -68,7 +68,9 @@ class TestAsyncEquivalence:
         Unlike ``test_matches_batch_forward`` this goes through the
         *batch* graph construction pipeline (the one windowed
         ``GNNPipeline.predict`` uses), so it pins the full serving
-        invariant: same edges, same features, same bits.
+        invariant: same edges, same features, same bits.  Each per-event
+        decision must also cost fewer MACs than the rebuilt window's
+        forward pass, the work the fast path exists to avoid.
         """
         from repro.gnn import GraphBuildConfig
         from repro.gnn.models import build_event_graph
@@ -87,6 +89,7 @@ class TestAsyncEquivalence:
         with no_grad():
             batch_scores = engine.model(graph).data[0]
         assert np.array_equal(reports[-1].scores, batch_scores)
+        assert max(r.macs for r in reports) < engine.model.operation_count(graph)
 
     def test_node_features_match_batch(self):
         stream = make_stream(40, seed=3)

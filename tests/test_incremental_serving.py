@@ -16,7 +16,7 @@ from repro.events.ops import split_by_time
 from repro.gnn import GraphBuildConfig
 from repro.gnn.models import build_event_graph
 from repro.nn import no_grad
-from repro.observability import Instrumentation
+from repro.observability import Instrumentation, validate_snapshot
 from repro.streaming import (
     BreakerPolicy,
     ServiceModel,
@@ -125,6 +125,7 @@ class TestSessionAPI:
             if h["name"] == "incremental_event_latency_us"
         ]
         assert hist and hist[0]["count"] == 30
+        assert validate_snapshot(snap) == []
 
     def test_uninstrumented_session_still_counts_macs(self, gnn, dataset):
         session = gnn.open_session()

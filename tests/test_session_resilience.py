@@ -213,9 +213,14 @@ class TestBoundedEngine:
             assert report.live_nodes <= 16
             sizes.append(engine.state_bytes())
         assert engine.num_live_nodes <= 16
+        assert engine.expired_nodes_total > 0
         # Every array is allocated at its final size up front: the
         # footprint is identical from before the first event to the last.
         assert len(set(sizes)) == 1
+        # ... and below what the exact engine holds after the same stream.
+        exact = self._engine(gnn, window_us=1 << 62)
+        exact.process_stream(stream)
+        assert max(sizes) < exact.state_bytes()
 
     def test_dead_conv2_unit_keeps_bounded_equal_to_batch(self, gnn):
         """A conv2 unit that never fires holds a running max of 0 that

@@ -26,6 +26,7 @@ from repro.streaming import (
     make_bursty_stream,
     overload_scores,
     run_overload_demo,
+    validate_report,
 )
 
 RES = Resolution(32, 32)
@@ -229,7 +230,7 @@ class TestBurstDemo:
     def test_demo_meets_acceptance_criteria(self):
         report, ex = run_overload_demo(seed=0, burst_factor=10.0)
         # Exact conservation of windows and events.
-        assert report.accounting_errors() == []
+        assert validate_report(report) == []
         assert report.failed == 0
         assert (
             report.processed + report.expired + report.shed_windows

@@ -69,10 +69,15 @@ def main() -> int:
     parser.add_argument(
         "--metrics-output",
         type=Path,
-        default=REPO_ROOT / "incremental_robustness_metrics.json",
-        help="where the sweep's instrumentation snapshot artifact goes",
+        default=None,
+        help="where the sweep's instrumentation snapshot artifact goes "
+        "(default: incremental_robustness_metrics.json next to --output)",
     )
     args = parser.parse_args()
+    if args.metrics_output is None:
+        args.metrics_output = args.output.with_name(
+            "incremental_robustness_metrics.json"
+        )
 
     if args.quick:
         train = make_gestures_dataset(

@@ -84,10 +84,13 @@ def main() -> int:
     parser.add_argument(
         "--metrics-output",
         type=Path,
-        default=REPO_ROOT / "robustness_metrics.json",
-        help="where the sweep's instrumentation snapshot artifact goes",
+        default=None,
+        help="where the sweep's instrumentation snapshot artifact goes "
+        "(default: robustness_metrics.json next to --output)",
     )
     args = parser.parse_args()
+    if args.metrics_output is None:
+        args.metrics_output = args.output.with_name("robustness_metrics.json")
 
     if args.quick:
         dataset = make_shapes_dataset(

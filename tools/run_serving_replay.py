@@ -259,12 +259,14 @@ def main() -> int:
     parser.add_argument(
         "--metrics-output",
         type=Path,
-        default=REPO_ROOT / "serving_metrics.json",
+        default=None,
         help="where the isolated chaos run's merged snapshot artifact "
-        "goes (a Prometheus text twin lands next to it with a .prom "
-        "suffix)",
+        "goes (default: serving_metrics.json next to --output; a "
+        "Prometheus text twin lands next to it with a .prom suffix)",
     )
     args = parser.parse_args()
+    if args.metrics_output is None:
+        args.metrics_output = args.output.with_name("serving_metrics.json")
 
     num_windows = 40 if args.quick else 60
     replay_kwargs = dict(

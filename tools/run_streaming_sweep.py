@@ -193,11 +193,14 @@ def main() -> int:
     parser.add_argument(
         "--metrics-output",
         type=Path,
-        default=REPO_ROOT / "streaming_metrics.json",
+        default=None,
         help="where the demo's instrumentation snapshot artifact goes "
-        "(a Prometheus text twin lands next to it with a .prom suffix)",
+        "(default: streaming_metrics.json next to --output; a Prometheus "
+        "text twin lands next to it with a .prom suffix)",
     )
     args = parser.parse_args()
+    if args.metrics_output is None:
+        args.metrics_output = args.output.with_name("streaming_metrics.json")
 
     t0 = time.time()
     demo_summary, failures = check_demo(args.seed)
