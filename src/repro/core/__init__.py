@@ -4,9 +4,7 @@ from .comparison import (
     ComparisonResult,
     agreement_with_paper,
     assemble_comparison,
-    attach_overload,
-    attach_robustness,
-    attach_session_robustness,
+    attach_row,
     measure_paradigm,
     render_table,
     run_comparison,
@@ -76,9 +74,7 @@ __all__ = [
     "measure_paradigm",
     "assemble_comparison",
     "run_comparison",
-    "attach_robustness",
-    "attach_overload",
-    "attach_session_robustness",
+    "attach_row",
     "render_table",
     "to_markdown",
     "agreement_with_paper",

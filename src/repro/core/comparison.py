@@ -18,9 +18,6 @@ from .metrics import (
     AXES,
     GRAPH_MEMORY_COMPACT_AXIS,
     GRAPH_MEMORY_DENSE_AXIS,
-    OVERLOAD_AXIS,
-    ROBUSTNESS_AXIS,
-    SESSION_ROBUSTNESS_AXIS,
     Axis,
     PipelineMetrics,
 )
@@ -32,9 +29,7 @@ __all__ = [
     "measure_paradigm",
     "assemble_comparison",
     "run_comparison",
-    "attach_robustness",
-    "attach_overload",
-    "attach_session_robustness",
+    "attach_row",
     "attach_graph_memory",
     "render_table",
     "to_markdown",
@@ -53,7 +48,7 @@ class ComparisonResult:
         ratings: axis key → (paradigm name → rating).
         extra_axes: measured rows beyond the paper's twelve (e.g. the
             noise/fault-robustness row a reliability sweep adds via
-            :func:`attach_robustness`); rendered after the core rows.
+            :func:`attach_row`); rendered after the core rows.
     """
 
     metrics: dict[str, PipelineMetrics]
@@ -152,20 +147,28 @@ def run_comparison(
     return assemble_comparison(metrics)
 
 
-def attach_robustness(
-    result: ComparisonResult, scores: dict[str, float]
+def attach_row(
+    result: ComparisonResult, axis: Axis, scores: dict[str, float]
 ) -> ComparisonResult:
-    """Append the measured noise/fault-robustness row to a comparison.
+    """Append one measured [0, 1]-score row to a comparison.
 
-    The paper asserts the robustness of each paradigm qualitatively;
-    this regenerates that cell from data: ``scores`` are the
-    retained-accuracy fractions measured by
-    :func:`repro.reliability.sweep.robustness_scores`, rated on the
-    same ``++ / + / -`` scale as every other row.
+    The paper rates robustness, overload behaviour and session-fault
+    resilience qualitatively or not at all; the sweeps regenerate those
+    cells from data and rate them on the same ``++ / + / -`` scale as
+    every other row: :data:`~repro.core.metrics.ROBUSTNESS_AXIS` from
+    :func:`repro.reliability.sweep.robustness_scores`,
+    :data:`~repro.core.metrics.OVERLOAD_AXIS` from
+    :func:`repro.streaming.sweep.overload_scores` and
+    :data:`~repro.core.metrics.SESSION_ROBUSTNESS_AXIS` from
+    :func:`repro.reliability.incremental.session_robustness_scores`.
+    A paradigm the sweep cannot measure carries ``nan`` (rendered
+    ``?``) rather than a made-up score.
 
     Args:
         result: a comparison produced by :func:`run_comparison`.
-        scores: paradigm name → retained-accuracy score in [0, 1].
+        axis: the row; ``axis.key`` names the
+            :class:`~repro.core.metrics.PipelineMetrics` attribute set.
+        scores: paradigm name → score in [0, 1], or ``nan``.
 
     Returns:
         ``result``, with metrics, ratings and :attr:`~ComparisonResult.extra_axes`
@@ -174,69 +177,10 @@ def attach_robustness(
     if set(scores) != set(PARADIGMS):
         raise ValueError(f"scores must cover exactly {PARADIGMS}")
     for name in PARADIGMS:
-        result.metrics[name].robustness = float(scores[name])
-    result.ratings[ROBUSTNESS_AXIS.key] = rate_robustness(scores)
-    if all(a.key != ROBUSTNESS_AXIS.key for a in result.extra_axes):
-        result.extra_axes.append(ROBUSTNESS_AXIS)
-    return result
-
-
-def attach_overload(
-    result: ComparisonResult, scores: dict[str, float]
-) -> ComparisonResult:
-    """Append the measured overload graceful-degradation row.
-
-    ``scores`` are the delivered-window fractions each paradigm sustains
-    above capacity, measured by
-    :func:`repro.streaming.sweep.overload_scores`; they live on the same
-    [0, 1] scale as the robustness scores and are rated identically.
-
-    Args:
-        result: a comparison produced by :func:`run_comparison`.
-        scores: paradigm name → delivered-fraction score in [0, 1].
-
-    Returns:
-        ``result``, updated in place (returned for chaining).
-    """
-    if set(scores) != set(PARADIGMS):
-        raise ValueError(f"scores must cover exactly {PARADIGMS}")
-    for name in PARADIGMS:
-        result.metrics[name].overload = float(scores[name])
-    result.ratings[OVERLOAD_AXIS.key] = rate_robustness(scores)
-    if all(a.key != OVERLOAD_AXIS.key for a in result.extra_axes):
-        result.extra_axes.append(OVERLOAD_AXIS)
-    return result
-
-
-def attach_session_robustness(
-    result: ComparisonResult, scores: dict[str, float]
-) -> ComparisonResult:
-    """Append the measured session-fault resilience row.
-
-    ``scores`` are the retained-accuracy fractions of per-event serving
-    under mid-session state faults, measured by
-    :func:`repro.reliability.incremental.session_robustness_scores`.
-    Paradigms without an incremental serving path carry ``nan`` (an
-    honest "not measurable", rendered ``?``) rather than a made-up
-    score — this row is the one place the scorecard is GNN-only by
-    construction, exactly because only the event-graph paradigm has a
-    live per-event session to corrupt.
-
-    Args:
-        result: a comparison produced by :func:`run_comparison`.
-        scores: paradigm name → retained-accuracy score in [0, 1], or
-            ``nan`` where the paradigm has no incremental session.
-
-    Returns:
-        ``result``, updated in place (returned for chaining).
-    """
-    if set(scores) != set(PARADIGMS):
-        raise ValueError(f"scores must cover exactly {PARADIGMS}")
-    for name in PARADIGMS:
-        result.metrics[name].session_robustness = float(scores[name])
-    result.ratings[SESSION_ROBUSTNESS_AXIS.key] = rate_robustness(scores)
-    if all(a.key != SESSION_ROBUSTNESS_AXIS.key for a in result.extra_axes):
-        result.extra_axes.append(SESSION_ROBUSTNESS_AXIS)
+        setattr(result.metrics[name], axis.key, float(scores[name]))
+    result.ratings[axis.key] = rate_robustness(scores)
+    if all(a.key != axis.key for a in result.extra_axes):
+        result.extra_axes.append(axis)
     return result
 
 

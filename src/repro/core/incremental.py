@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..nn.serialization import read_checkpoint
 from ..observability import Instrumentation, exponential_buckets
 
 __all__ = [
@@ -477,34 +478,27 @@ class GNNIncrementalSession(IncrementalSession):
             ValueError: when the checkpoint (or its nested engine
                 checkpoint) is structurally incompatible.
         """
-        if not isinstance(state, dict):
-            raise ValueError("session checkpoint must be a dict")
-        if state.get("format") != SESSION_SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unknown session checkpoint format {state.get('format')!r}; "
-                f"expected {SESSION_SNAPSHOT_FORMAT!r}"
-            )
-        try:
-            engine_state = state["engine"]
-            window_index = int(state["window_index"])
-            audit_this_window = bool(state["audit_this_window"])
-            overflow = bool(state["audit_overflow"])
-            buf = state["audit_buffer"]
-            parts = tuple(list(part) for part in buf)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed {SESSION_SNAPSHOT_FORMAT!r} checkpoint "
-                f"(truncated or corrupt payload): {exc!r}"
-            ) from exc
+        fields = read_checkpoint(
+            state,
+            SESSION_SNAPSHOT_FORMAT,
+            {
+                "engine": lambda v: v,
+                "window_index": int,
+                "audit_this_window": bool,
+                "audit_overflow": bool,
+                "audit_buffer": lambda v: tuple(list(part) for part in v),
+            },
+        )
+        parts = fields["audit_buffer"]
         if len(parts) != 4 or len({len(part) for part in parts}) != 1:
             raise ValueError(
                 f"malformed {SESSION_SNAPSHOT_FORMAT!r} checkpoint: "
                 "audit buffer must hold four equal-length columns"
             )
-        self._engine.restore(engine_state)
-        self._window_index = window_index
-        self._audit_this_window = audit_this_window
-        self._buf_overflow = overflow
+        self._engine.restore(fields["engine"])
+        self._window_index = fields["window_index"]
+        self._audit_this_window = fields["audit_this_window"]
+        self._buf_overflow = fields["audit_overflow"]
         self._buf = parts
 
     @property

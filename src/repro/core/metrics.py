@@ -71,7 +71,7 @@ AXES: tuple[Axis, ...] = (
 #: not quantify robustness, so its paper cells are ``?``; the row is
 #: appended to a comparison only when a
 #: :mod:`repro.reliability.sweep` has actually measured it (see
-#: :func:`repro.core.comparison.attach_robustness`), keeping the default
+#: :func:`repro.core.comparison.attach_row`), keeping the default
 #: twelve-row table identical to the paper's.
 ROBUSTNESS_AXIS = Axis(
     "robustness",
@@ -88,7 +88,7 @@ ROBUSTNESS_AXIS = Axis(
 #: (see :func:`repro.streaming.sweep.overload_scores`).  Like the
 #: robustness row, the published table has no such quantity, so its
 #: paper cells are ``?`` and the row is only appended when a streaming
-#: sweep has measured it (:func:`repro.core.comparison.attach_overload`).
+#: sweep has measured it (:func:`repro.core.comparison.attach_row`).
 OVERLOAD_AXIS = Axis(
     "overload",
     "System - Overload graceful degradation",
@@ -105,7 +105,7 @@ OVERLOAD_AXIS = Axis(
 #: :func:`repro.reliability.incremental.run_incremental_robustness`).
 #: Only paradigms with an incremental serving path can be measured;
 #: the rest stay ``nan`` and render as ``?``.  Appended by
-#: :func:`repro.core.comparison.attach_session_robustness`.
+#: :func:`repro.core.comparison.attach_row`.
 SESSION_ROBUSTNESS_AXIS = Axis(
     "session_robustness",
     "Serving - Session-fault resilience",

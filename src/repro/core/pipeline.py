@@ -842,10 +842,7 @@ class GNNPipeline(ParadigmPipeline):
         # the Table I dense-vs-compact comparison reads these off the
         # GNN column (see repro.core.comparison.attach_graph_memory).
         graph_memory: dict[str, dict[str, float]] = {}
-        candidates = ["dense"]
-        if self.config.causal:  # compact storage requires causal edges
-            candidates.append("compact")
-        for representation in candidates:
+        for representation in ("dense", "compact"):
             if representation == self.config.representation:
                 rep_graphs = graphs
             else:

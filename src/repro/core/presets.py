@@ -91,7 +91,6 @@ class GNNConfig:
     time_scale_us: float = 5000.0
     max_events: int = 200
     max_degree: int = 10
-    causal: bool = True
     include_position: bool = False
     representation: str = "dense"
     quantization_bits: int = 8
@@ -107,7 +106,6 @@ class GNNConfig:
             time_scale_us=self.time_scale_us,
             max_events=self.max_events,
             max_degree=self.max_degree,
-            causal=self.causal,
             include_position=self.include_position,
             representation=self.representation,
             quantization_bits=self.quantization_bits,

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.layers import Linear
+from ..nn.serialization import read_checkpoint
 from ..nn.tensor import Tensor, no_grad, stable_matmul
 from .asynchronous import HashInserter, LiveWindow
 from .layers import EdgeConv
@@ -460,13 +461,18 @@ class AsyncEventGNN:
                 shapes).  Value-level corruption is *not* detectable
                 here; that is the divergence audit's job.
         """
-        if not isinstance(state, dict):
-            raise ValueError("checkpoint must be a dict")
-        if state.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unknown checkpoint format {state.get('format')!r}; "
-                f"expected {SNAPSHOT_FORMAT!r}"
-            )
+        fields = read_checkpoint(
+            state,
+            SNAPSHOT_FORMAT,
+            {
+                "count": int,
+                "live_start": int,
+                "expired_total": int,
+                "last_t_us": lambda v: None if v is None else int(v),
+                "running_max": lambda v: np.asarray(v, dtype=np.float64),
+                "inserter": lambda v: v,
+            },
+        )
         bounded = self.max_live_nodes is not None
         if bool(state.get("bounded")) != bounded:
             raise ValueError("checkpoint bounded-mode flag does not match engine")
@@ -475,20 +481,9 @@ class AsyncEventGNN:
                 f"checkpoint capacity {state.get('capacity')} != engine "
                 f"max_live_nodes {self.max_live_nodes}"
             )
-        try:
-            count = int(state["count"])
-            live_start = int(state["live_start"])
-            expired_total = int(state["expired_total"])
-            last_t_us = state["last_t_us"]
-            if last_t_us is not None:
-                last_t_us = int(last_t_us)
-            running_max = np.asarray(state["running_max"], dtype=np.float64)
-            inserter = state["inserter"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed {SNAPSHOT_FORMAT!r} checkpoint "
-                f"(truncated or corrupt payload): {exc!r}"
-            ) from exc
+        count = fields["count"]
+        running_max = fields["running_max"]
+        inserter = fields["inserter"]
         if running_max.shape != (self._hidden,):
             raise ValueError(
                 f"checkpoint running_max has shape {running_max.shape}, "
@@ -505,11 +500,11 @@ class AsyncEventGNN:
                 f"nodes but count={count}"
             )
         # Validates the columns and live range before changing anything.
-        self._window.restore(state, live_start, count)
+        self._window.restore(state, fields["live_start"], count)
 
         self._running_max = running_max.copy()
-        self._expired_total = expired_total
-        self._last_t_us = last_t_us
+        self._expired_total = fields["expired_total"]
+        self._last_t_us = fields["last_t_us"]
         self._inserter = copy.deepcopy(inserter)
         self._inserter.window = self._window
         self._scores = None

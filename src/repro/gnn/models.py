@@ -1,7 +1,7 @@
 """Event-graph classifiers and their training loop.
 
 The end-to-end GNN pipeline of Section IV: stream → point cloud →
-radius graph (optionally causal) → graph convolutions → global pooling →
+causal radius graph → graph convolutions → global pooling →
 linear head.  The model also reports the operation counts that back the
 paper's claim of "orders of magnitude fewer neural network calculations
 and parameters" relative to dense-frame CNNs.
@@ -35,8 +35,8 @@ class GraphBuildConfig:
         max_events: subsample the stream to at most this many events
             (uniform stride) to bound graph size.
         max_degree: in-degree cap.
-        causal: keep only past → future edges (required for asynchronous
-            operation).
+        causal: keep only past → future edges; must be True, the one
+            build both representations and the asynchronous engine share.
         include_position: append normalised absolute coordinates to the
             node features (see :meth:`EventGraph.from_stream`).
         representation: graph storage layout — "dense" (the historical
@@ -74,8 +74,8 @@ class GraphBuildConfig:
             )
         if not (self.quantization_bits == 0 or 2 <= self.quantization_bits <= 16):
             raise ValueError("quantization_bits must be 0 or in [2, 16]")
-        if self.representation == "compact" and not self.causal:
-            raise ValueError("the compact representation requires causal=True")
+        if not self.causal:
+            raise ValueError("graph builds require causal=True (past -> future edges)")
 
 
 def build_event_graph(stream: EventStream, config: GraphBuildConfig):

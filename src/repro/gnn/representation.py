@@ -25,7 +25,6 @@ import numpy as np
 
 from ..events.stream import EventStream
 from .asynchronous import HashInserter
-from .build import limit_in_degree, radius_graph_spatial_hash
 from .compact import CompactGraphBuilder
 from .graph import EventGraph
 
@@ -113,29 +112,19 @@ def _causal_capped_edges(stream: EventStream, config) -> np.ndarray:
 class DenseGraphRepresentation:
     """The historical float64/int64 :class:`EventGraph` build.
 
-    With ``config.causal`` (every preset), the edges come from the same
-    sliced :meth:`HashInserter.insert_many` kernel as the compact build
-    (``_causal_capped_edges``); ``radius_graph`` → ``make_causal`` →
-    ``limit_in_degree`` remain its public, tested oracle.  A non-causal
-    build caps the symmetric spatial-hash radius graph.
+    The edges come from the same sliced :meth:`HashInserter.insert_many`
+    kernel as the compact build (``_causal_capped_edges``);
+    ``radius_graph`` → ``make_causal`` → ``limit_in_degree`` remain its
+    public, tested oracle.
     """
 
     name = "dense"
 
     def build(self, stream: EventStream, config) -> EventGraph:
         stream = subsample_stream(stream, config.max_events)
-        if config.causal:
-            edges = _causal_capped_edges(stream, config)
-        else:
-            points = stream.soa().point_cloud(config.time_scale_us)
-            edges = limit_in_degree(
-                radius_graph_spatial_hash(points, config.radius),
-                points,
-                config.max_degree,
-            )
         return EventGraph.from_stream(
             stream,
-            edges,
+            _causal_capped_edges(stream, config),
             config.time_scale_us,
             include_position=config.include_position,
         )
@@ -144,20 +133,14 @@ class DenseGraphRepresentation:
 class CompactGraphRepresentation:
     """The memory-bounded :class:`CompactEventGraph` build.
 
-    Incremental construction over the same subsampled columns; requires
-    ``config.causal`` (the fixed-degree delta table encodes past →
-    present edges only).  ``config.quantization_bits == 0`` makes the
-    result bitwise-equivalent to the dense build.
+    Incremental construction over the same subsampled columns.
+    ``config.quantization_bits == 0`` makes the result
+    bitwise-equivalent to the dense build.
     """
 
     name = "compact"
 
     def build(self, stream: EventStream, config):
-        if not config.causal:
-            raise ValueError(
-                "the compact representation requires causal=True "
-                "(its neighbour table stores past -> present deltas)"
-            )
         stream = subsample_stream(stream, config.max_events)
         soa = stream.soa()
         builder = CompactGraphBuilder(

@@ -40,7 +40,7 @@ from .layers import (
 )
 from .losses import accuracy, cross_entropy, cross_entropy_reference, mse_loss, nll_loss
 from .optim import SGD, Adam, Optimizer, StepLR
-from .serialization import load_state, save_state
+from .serialization import load_state, read_checkpoint, save_state
 from .tensor import (
     Tensor,
     custom_gradient,
@@ -95,6 +95,7 @@ __all__ = [
     "StepLR",
     "save_state",
     "load_state",
+    "read_checkpoint",
     "kaiming_uniform",
     "xavier_uniform",
     "zeros",

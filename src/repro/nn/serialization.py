@@ -1,18 +1,22 @@
-"""Model parameter persistence.
+"""Model parameter persistence and versioned checkpoint reading.
 
 Thin ``.npz`` save/load over :meth:`repro.nn.Module.state_dict`, so
-trained pipelines can be checkpointed and experiments resumed exactly.
+trained pipelines can be checkpointed and experiments resumed exactly;
+and :func:`read_checkpoint`, the one validator of the versioned
+in-memory session snapshots (``async-gnn/v1``,
+``incremental-session/v1``, ``serving-model/v1``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .layers import Module
 
-__all__ = ["save_state", "load_state"]
+__all__ = ["save_state", "load_state", "read_checkpoint"]
 
 _FORMAT_VERSION = 1
 
@@ -50,3 +54,44 @@ def load_state(model: Module, path: str | Path) -> None:
             raise ValueError(f"unsupported checkpoint version {int(data['__version__'])}")
         state = {k: data[k] for k in data.files if k != "__version__"}
     model.load_state_dict(state)
+
+
+def read_checkpoint(
+    state: Any, fmt: str, fields: Mapping[str, Callable[[Any], Any]]
+) -> dict[str, Any]:
+    """Validate a versioned snapshot dict and convert its fields.
+
+    Changes nothing: the caller applies the returned values only after
+    its own cross-field checks pass, so a rejected checkpoint never
+    partially mutates the restoring object.
+
+    Args:
+        state: the snapshot, as produced by some ``snapshot()``.
+        fmt: the format tag ``state["format"]`` must equal.
+        fields: key → converter; each converter takes the raw value and
+            returns the validated one, raising ``KeyError``,
+            ``TypeError`` or ``ValueError`` on a malformed value.
+
+    Returns:
+        key → converted value, for every key of ``fields``.
+
+    Raises:
+        ValueError: naming ``fmt``, when ``state`` is not a dict, its
+            tag is missing or different, a key is missing or a field
+            fails conversion.
+    """
+    if not isinstance(state, dict):
+        raise ValueError(
+            f"malformed {fmt!r} checkpoint: expected a dict, "
+            f"got {type(state).__name__}"
+        )
+    if state.get("format") != fmt:
+        raise ValueError(
+            f"unknown checkpoint format {state.get('format')!r}; expected {fmt!r}"
+        )
+    try:
+        return {key: convert(state[key]) for key, convert in fields.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"malformed {fmt!r} checkpoint (truncated or corrupt payload): {exc!r}"
+        ) from exc

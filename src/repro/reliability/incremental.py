@@ -12,7 +12,7 @@ snapshot, and a windowed recompute serves as the final fallback.
 
 Only paradigms with a per-event serving path can be measured, so the
 resulting Table-I row (attached via
-:func:`repro.core.comparison.attach_session_robustness`) is GNN-only by
+:func:`repro.core.comparison.attach_row`) is GNN-only by
 construction; SNN and CNN stay ``nan`` and render as ``?``.
 """
 
@@ -23,8 +23,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_session_robustness
+from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
 from ..core.incremental import AuditPolicy, SessionDivergenceError
+from ..core.metrics import SESSION_ROBUSTNESS_AXIS
 from ..core.pipeline import GNNPipeline
 from ..datasets.base import EventDataset
 from ..events.stream import EventStream
@@ -167,7 +168,9 @@ def attach_to_comparison(
     comparison: ComparisonResult, result: IncrementalRobustnessResult
 ) -> ComparisonResult:
     """Fold a measured sweep into a Table-I comparison (extra row)."""
-    return attach_session_robustness(comparison, session_robustness_scores(result))
+    return attach_row(
+        comparison, SESSION_ROBUSTNESS_AXIS, session_robustness_scores(result)
+    )
 
 
 def _windows_of(stream: EventStream, window_us: int) -> list[EventStream]:

@@ -13,7 +13,7 @@ training.
 
 Results reduce to a *retained-accuracy* score per paradigm
 (:func:`robustness_scores`), which
-:func:`repro.core.comparison.attach_robustness` folds back into the
+:func:`repro.core.comparison.attach_row` folds back into the
 regenerated comparison table.
 
 The sweep runs through
@@ -30,7 +30,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_robustness
+from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
+from ..core.metrics import ROBUSTNESS_AXIS
 from ..core.pipeline import ParadigmPipeline
 from ..core.ratings import Rating, rate_robustness
 from ..datasets.base import EventDataset
@@ -186,7 +187,7 @@ def attach_to_comparison(
     comparison: ComparisonResult, result: RobustnessSweepResult
 ) -> ComparisonResult:
     """Fold a measured sweep into a Table-I comparison (extra row)."""
-    return attach_robustness(comparison, robustness_scores(result))
+    return attach_row(comparison, ROBUSTNESS_AXIS, robustness_scores(result))
 
 
 def _point_key(paradigm: str, severity: float) -> str:

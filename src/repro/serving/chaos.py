@@ -47,6 +47,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..events import EventStream, Resolution
+from ..nn.serialization import read_checkpoint
 from ..parallel import derive_seed
 from ..reliability.faults import NaNFeatureInjection, apply_session_fault
 
@@ -265,26 +266,16 @@ class TenantModel:
 
     def restore(self, state: dict[str, Any]) -> None:
         """Restore from a checkpoint, rejecting malformed payloads."""
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"malformed {MODEL_SNAPSHOT_FORMAT!r} checkpoint: "
-                f"expected a dict, got {type(state).__name__}"
-            )
-        fmt = state.get("format")
-        if fmt != MODEL_SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unknown checkpoint format {fmt!r}: expected "
-                f"{MODEL_SNAPSHOT_FORMAT!r}"
-            )
-        try:
-            x2 = np.asarray(state["x2"], dtype=np.float64)
-            running_max = np.asarray(state["running_max"], dtype=np.float64)
-            last_t_us = int(state["last_t_us"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed {MODEL_SNAPSHOT_FORMAT!r} checkpoint "
-                f"(truncated or corrupt payload): {exc!r}"
-            ) from exc
+        fields = read_checkpoint(
+            state,
+            MODEL_SNAPSHOT_FORMAT,
+            {
+                "x2": lambda v: np.asarray(v, dtype=np.float64),
+                "running_max": lambda v: np.asarray(v, dtype=np.float64),
+                "last_t_us": int,
+            },
+        )
+        x2, running_max = fields["x2"], fields["running_max"]
         if x2.ndim != 2 or running_max.shape != (x2.shape[1],):
             raise ValueError(
                 f"malformed {MODEL_SNAPSHOT_FORMAT!r} checkpoint: state "
@@ -292,7 +283,7 @@ class TenantModel:
             )
         self._x2 = x2.copy()
         self._running_max = running_max.copy()
-        self._last_t_us = last_t_us
+        self._last_t_us = fields["last_t_us"]
 
     # ------------------------------------------------------------------
     def __call__(self, stream: EventStream) -> int | float:

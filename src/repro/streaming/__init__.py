@@ -18,7 +18,7 @@ model, degrading gracefully under overload instead of collapsing:
   snapshot, and an overload sweep
   (:mod:`~repro.streaming.sweep`) whose graceful-degradation scores
   join the regenerated Table I via
-  :func:`repro.core.comparison.attach_overload`.
+  :func:`repro.core.comparison.attach_row`.
 """
 
 from .breaker import (

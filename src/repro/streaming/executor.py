@@ -23,9 +23,9 @@ Resilience comes from three cooperating mechanisms:
   probes); refused or failed stages fall through to cheaper fallback
   paradigms and finally to the last-good cached prediction.
 
-Stage calls run through the :class:`~repro.reliability.runner.StageGuard`
-retry/timeout machinery shared with the batch
-:class:`~repro.reliability.runner.HardenedRunner`; unfitted pipelines
+Stage calls run once, with no retry or wall-clock timeout: a live
+executor prefers falling back over burning queue time.  An exception
+from a stage is a failed call its breaker records; unfitted pipelines
 raise :class:`~repro.core.pipeline.NotFittedError` up front.
 
 With ``serve_mode="event"`` the executor serves stages whose pipeline
@@ -56,12 +56,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..core.pipeline import ParadigmPipeline
+from ..core.pipeline import NotFittedError, ParadigmPipeline
 from ..events.ops import split_by_time
 from ..events.rate import rate_profile
 from ..events.stream import EventStream
 from ..observability import Instrumentation, ProfilingHooks, exponential_buckets
-from ..reliability.runner import StageGuard
 from .breaker import BreakerPolicy, BreakerTransition, CircuitBreaker, is_bad_output
 from .queueing import BoundedWindowQueue, WindowTicket
 from .report import StageStats, StreamReport
@@ -212,6 +211,21 @@ class StreamStage:
     pipeline: ParadigmPipeline | None = None
 
 
+def _call(fn: Callable[[], Any]) -> tuple[bool, Any]:
+    """Run one stage call: ``(True, value)``, or ``(False, reason)``.
+
+    Any exception but :class:`NotFittedError` (a configuration error the
+    run must not absorb) is a failed call; its reason, for the breaker,
+    is the message or, for an empty one, the exception's type name.
+    """
+    try:
+        return True, fn()
+    except NotFittedError:
+        raise
+    except Exception as exc:
+        return False, str(exc) or type(exc).__name__
+
+
 def _as_stage(obj: Any, used: set[str]) -> StreamStage:
     """Normalise a pipeline / (name, fn) pair / callable into a stage."""
     if isinstance(obj, StreamStage):
@@ -254,9 +268,6 @@ class StreamingExecutor:
             controller.
         breaker_policy: trip/recovery parameters shared by all stage
             breakers.
-        guard: retry/timeout machinery for stage calls (defaults to no
-            retries, no wall-clock timeout — a live executor prefers
-            falling back over burning queue time).
         use_last_good: serve the most recent successful prediction when
             every stage fails or is refused.
         seed: seeds the breakers' half-open probe generators.
@@ -307,7 +318,6 @@ class StreamingExecutor:
         deadline_us: float | None = None,
         shed_policy: ShedPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
-        guard: StageGuard | None = None,
         use_last_good: bool = True,
         seed: int = 0,
         hooks: ProfilingHooks | None = None,
@@ -338,7 +348,6 @@ class StreamingExecutor:
         )
         self.shed_policy = shed_policy or ShedPolicy()
         self.breaker_policy = breaker_policy or BreakerPolicy()
-        self.guard = guard or StageGuard(max_retries=0)
         self.use_last_good = use_last_good
         self.seed = seed
         self.hooks = hooks
@@ -603,11 +612,10 @@ class StreamingExecutor:
                     obs.stage_start(stage.name, ticket.index)
                     with obs.tracer.span(f"call:{stage.name}[incremental]"):
                         self._clock += cost
-                        result = self.guard.run(
-                            stage.name,
-                            lambda: self._serve_incremental(stage, ticket.stream),
+                        called, out = _call(
+                            lambda: self._serve_incremental(stage, ticket.stream)
                         )
-                    ok = result.ok and not is_bad_output(result.value)
+                    ok = called and not is_bad_output(out)
                     obs.stage_end(stage.name, ticket.index, ok=ok)
                     inc = self._inc_m[stage.name]
                     inc_breaker = self.inc_breakers[stage.name]
@@ -619,7 +627,7 @@ class StreamingExecutor:
                         inc["events"].inc(num_events)
                         inc["macs"].inc(self._last_inc_macs)
                         self._checkpoint_session(stage)
-                        value, served_by = result.value, stage.name
+                        value, served_by = out, stage.name
                         break
                     # The fast path is now suspect: put it on probation
                     # (its breaker opens after fastpath_policy's failure
@@ -631,8 +639,8 @@ class StreamingExecutor:
                     # stage-breaker semantics match window mode exactly.
                     inc_breaker.record_failure(
                         ticket.index,
-                        nan_output=result.ok,
-                        reason=result.error_message or result.error_type,
+                        nan_output=called,
+                        reason="" if called else out,
                     )
                     self._recover_session(stage)
                     inc["fallbacks"].inc()
@@ -650,24 +658,22 @@ class StreamingExecutor:
                 )
                 with obs.tracer.span(span_name):
                     self._clock += cost
-                    result = self.guard.run(
-                        stage.name, lambda: stage.predict(ticket.stream)
-                    )
-                ok = result.ok and not is_bad_output(result.value)
+                    called, out = _call(lambda: stage.predict(ticket.stream))
+                ok = called and not is_bad_output(out)
                 obs.stage_end(stage.name, ticket.index, ok=ok)
                 if ok:
                     breaker.record_success(ticket.index)
                     m["successes"].inc()
-                    value, served_by = result.value, stage.name
+                    value, served_by = out, stage.name
                     break
-                nan_trip = result.ok  # call returned, but the output is bad
+                nan_trip = called  # call returned, but the output is bad
                 m["failures"].inc()
                 if nan_trip:
                     m["nan_trips"].inc()
                 breaker.record_failure(
                     ticket.index,
                     nan_output=nan_trip,
-                    reason=result.error_message or result.error_type,
+                    reason="" if nan_trip else out,
                 )
             if served_by is None and self.use_last_good and self.last_good is not None:
                 cache_cost = (
@@ -752,19 +758,18 @@ class StreamingExecutor:
                 m["calls"].inc()
                 obs.stage_start(SHED_STAGE, index)
                 with obs.tracer.span(f"call:{SHED_STAGE}"):
-                    result = self.guard.run(
-                        SHED_STAGE,
-                        lambda: self.controller.apply(window, report.ledger),
+                    called, out = _call(
+                        lambda: self.controller.apply(window, report.ledger)
                     )
-                obs.stage_end(SHED_STAGE, index, ok=result.ok)
-                if result.ok:
-                    window, applied = result.value
+                obs.stage_end(SHED_STAGE, index, ok=called)
+                if called:
+                    window, applied = out
                     shed_breaker.record_success(index)
                     m["successes"].inc()
                 else:
                     # A broken transform must not take the stream down:
                     # the window passes through unshed.
-                    shed_breaker.record_failure(index, reason=result.error_message)
+                    shed_breaker.record_failure(index, reason=out)
                     m["failures"].inc()
 
             if tier is ShedTier.DROP_OLDEST:

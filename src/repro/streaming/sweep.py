@@ -14,7 +14,7 @@ the paper's "# Operations" row (SNN ``+``, CNN ``-``, GNN ``++``): the
 service model is calibrated so each paradigm sustains the stream's mean
 rate with that much headroom.  Curves reduce to one delivered-fraction
 score per paradigm (:func:`overload_scores`) which
-:func:`repro.core.comparison.attach_overload` folds into the regenerated
+:func:`repro.core.comparison.attach_row` folds into the regenerated
 Table I next to the measured robustness row.  The sweep runs through
 ``repro.parallel.run_sweep(SweepSpec(kind="streaming", ...))``; this
 module holds its per-paradigm curve (:func:`run_paradigm_stream`), the
@@ -35,7 +35,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_overload
+from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
+from ..core.metrics import OVERLOAD_AXIS
 from ..events.stream import EventStream, Resolution, EVENT_DTYPE
 from .breaker import BreakerPolicy
 from .executor import ServiceModel, StreamingExecutor
@@ -182,7 +183,7 @@ def attach_to_comparison(
     comparison: ComparisonResult, result: StreamingSweepResult
 ) -> ComparisonResult:
     """Fold a measured overload sweep into a Table-I comparison."""
-    return attach_overload(comparison, overload_scores(result))
+    return attach_row(comparison, OVERLOAD_AXIS, overload_scores(result))
 
 
 def degradation_violations(

@@ -428,6 +428,8 @@ def test_config_validation():
         GraphBuildConfig(quantization_bits=1)
     with pytest.raises(ValueError, match="causal"):
         GraphBuildConfig(representation="compact", causal=False)
+    with pytest.raises(ValueError, match="causal"):
+        GraphBuildConfig(representation="dense", causal=False)
 
 
 def test_gnn_config_threads_representation():

@@ -9,8 +9,9 @@ from repro.core import (
     AuditPolicy,
     GNNPipeline,
     SessionDivergenceError,
-    attach_session_robustness,
+    attach_row,
 )
+from repro.core.metrics import SESSION_ROBUSTNESS_AXIS
 from repro.datasets import make_gestures_dataset
 from repro.events.stream import EventStream, Resolution
 from repro.gnn import LiveWindow
@@ -563,4 +564,4 @@ class TestIncrementalRobustnessSweep:
         d = sweep.to_dict()
         assert len(d["points"]) == 2
         with pytest.raises(ValueError):
-            attach_session_robustness(object(), {"GNN": 1.0})  # missing keys
+            attach_row(object(), SESSION_ROBUSTNESS_AXIS, {"GNN": 1.0})  # missing keys

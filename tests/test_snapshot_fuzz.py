@@ -94,7 +94,7 @@ class TestCheckpointContract:
     def test_non_dict_payload_rejected(self, factory, fmt):
         obj = factory()
         for payload in (None, 17, "checkpoint", [1, 2, 3]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=fmt):
                 obj.restore(payload)
 
     def test_unknown_version_names_the_expected_one(self, factory, fmt):
