@@ -34,11 +34,30 @@ __all__ = [
 ]
 
 
+def _check_index(values: Tensor, index, num_targets: int) -> np.ndarray:
+    """``index`` as int64 after checking it names one bin per value row.
+
+    Rejects, before any work, what numpy would otherwise wrap silently
+    (a negative index lands in a bin counted from the end) or report
+    obscurely: a non-1-D index, a length other than ``values.shape[0]``
+    and any index outside ``[0, num_targets)``.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if index.ndim != 1:
+        raise ValueError(f"index must be 1-D, got shape {index.shape}")
+    if index.shape[0] != values.shape[0]:
+        raise ValueError(
+            f"one index per value row required: {index.shape[0]} indices "
+            f"for {values.shape[0]} rows"
+        )
+    if index.size and (index.min() < 0 or index.max() >= num_targets):
+        raise ValueError(f"index out of range [0, {num_targets})")
+    return index
+
+
 def scatter_sum(values: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
     """Sum rows of ``values`` into ``num_targets`` bins given by ``index``."""
-    index = np.asarray(index, dtype=np.int64)
-    if values.shape[0] != index.shape[0]:
-        raise ValueError("one index per value row required")
+    index = _check_index(values, index, num_targets)
     out = np.zeros((num_targets,) + values.shape[1:])
     np.add.at(out, index, values.data)
 
@@ -50,7 +69,7 @@ def scatter_sum(values: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
 
 def scatter_mean(values: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
     """Mean-aggregate rows into bins (empty bins stay zero)."""
-    index = np.asarray(index, dtype=np.int64)
+    index = _check_index(values, index, num_targets)
     counts = np.bincount(index, minlength=num_targets).astype(np.float64)
     counts = np.maximum(counts, 1.0)
     summed = scatter_sum(values, index, num_targets)
@@ -58,27 +77,71 @@ def scatter_mean(values: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
 
 
 def scatter_max(values: Tensor, index: np.ndarray, num_targets: int) -> Tensor:
-    """Max-aggregate rows into bins (empty bins are zero)."""
-    index = np.asarray(index, dtype=np.int64)
-    if values.shape[0] != index.shape[0]:
-        raise ValueError("one index per value row required")
-    out = np.full((num_targets,) + values.shape[1:], -np.inf)
-    np.maximum.at(out, index, values.data)
-    empty = ~np.isfinite(out)
-    out[empty] = 0.0
-    # Identify, per output cell, the (first) argmax row feeding it.
-    winner = np.zeros_like(values.data, dtype=bool)
-    taken = np.zeros_like(out, dtype=bool)
-    for row in range(values.data.shape[0]):
-        tgt = index[row]
-        sel = (values.data[row] == out[tgt]) & ~taken[tgt]
-        winner[row] = sel
-        taken[tgt] |= sel
+    """Max-aggregate rows into bins.
+
+    Every output cell whose maximum is not finite -- an empty bin, or a
+    bin holding a NaN or an infinity -- is ``0.0``.  The gradient of a
+    cell flows to exactly one row: the first, in row order, whose value
+    equals the cell's output, so ties and a cleaned non-finite cell
+    (which picks the first row equal to zero, if any) never split it.
+
+    The rows are stable-sorted by bin so each bin is one contiguous
+    segment; ``np.maximum.reduceat`` takes the segment maxima, and the
+    first equal row per (segment, column) is the head of its run among
+    the column-major equal hits.  Outputs and gradients are byte-equal
+    to the per-row loop this replaced, kept as the test oracle.
+    """
+    index = _check_index(values, index, num_targets)
+    out, winner = _segment_max(values.data, index, num_targets)
 
     def backward(g: np.ndarray):
         return [g[index] * winner]
 
     return custom_gradient(out, [values], backward)
+
+
+def _segment_max(
+    data: np.ndarray, index: np.ndarray, num_targets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scatter_max`'s forward: the bin maxima and the winner mask."""
+    out = np.zeros((num_targets,) + data.shape[1:])
+    winner = np.zeros(data.shape, dtype=bool)
+    n_rows = data.shape[0]
+    if n_rows == 0:
+        return out, winner
+    width = int(np.prod(data.shape[1:]))
+    # A stable sort of <= 16-bit keys is a radix sort.
+    keys = index.astype(np.uint16) if num_targets <= 1 << 16 else index
+    order = np.argsort(keys, kind="stable")
+    sorted_index = index[order]
+    rows = np.take(data.reshape(n_rows, width), order, axis=0)
+    new_seg = np.empty(n_rows, dtype=bool)
+    new_seg[0] = True
+    np.not_equal(sorted_index[1:], sorted_index[:-1], out=new_seg[1:])
+    starts = np.flatnonzero(new_seg)
+    seg = np.cumsum(new_seg) - 1
+    peak = np.maximum.reduceat(rows, starts, axis=0)
+    zero = peak == 0
+    peak[~np.isfinite(peak)] = 0.0
+    # Column-major equal hits: each (column, segment) cell is one run of
+    # ascending sorted rows, so a run's head is the cell's first equal row.
+    hits = np.flatnonzero(np.ascontiguousarray((rows == np.take(peak, seg, axis=0)).T))
+    col, row = np.divmod(hits, n_rows)
+    cell = col * len(starts) + seg[row]
+    edge = np.ones(len(cell) + 1, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=edge[1:-1])
+    if zero.any():
+        # np.maximum returns its second argument on a tie, so a row-order
+        # fold ends on the last equal row's sign bit; reduceat may fold in
+        # another order, so take a zero maximum's sign from that row.
+        last_row, last_col = row[edge[1:]], col[edge[1:]]
+        peak[zero] = 0.0
+        neg = zero[seg[last_row], last_col] & np.signbit(rows[last_row, last_col])
+        peak[seg[last_row[neg]], last_col[neg]] = -0.0
+    first = edge[:-1]
+    winner.reshape(-1)[order[row[first]] * width + col[first]] = True
+    out.reshape(num_targets, width)[sorted_index[starts]] = peak
+    return out, winner
 
 
 class GCNConv(Module):

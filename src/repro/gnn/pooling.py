@@ -12,7 +12,6 @@ import numpy as np
 
 from ..nn.tensor import Tensor
 from .graph import EventGraph
-from .layers import scatter_max, scatter_mean
 
 __all__ = ["voxel_pool_graph", "global_mean_pool", "global_max_pool"]
 

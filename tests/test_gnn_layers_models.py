@@ -1,7 +1,11 @@
 """Tests for graph conv layers, pooling and the GNN classifier."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events import EventStream, Resolution
 from repro.gnn import (
@@ -22,7 +26,9 @@ from repro.gnn import (
     voxel_pool_graph,
 )
 from repro.datasets import make_shapes_dataset, train_test_split
+from repro.gnn import layers as gnn_layers
 from repro.nn import Adam, Tensor, cross_entropy
+from repro.nn.tensor import custom_gradient
 
 from .test_nn_tensor import numerical_grad
 
@@ -36,6 +42,136 @@ def toy_graph(n=12, seed=0, radius=6.0):
     edges = radius_graph_kdtree(pts, radius)
     feats = rng.standard_normal((n, 2))
     return EventGraph(pts, feats, edges, 1000.0)
+
+
+def _scatter_max_reference(values, index, num_targets):
+    """The per-row loop ``scatter_max`` replaced: its semantics oracle."""
+    index = np.asarray(index, dtype=np.int64)
+    out = np.full((num_targets,) + values.shape[1:], -np.inf)
+    with np.errstate(invalid="ignore"):  # NaN rows; the cell becomes 0 below
+        np.maximum.at(out, index, values.data)
+    empty = ~np.isfinite(out)
+    out[empty] = 0.0
+    # Identify, per output cell, the (first) argmax row feeding it.
+    winner = np.zeros_like(values.data, dtype=bool)
+    taken = np.zeros_like(out, dtype=bool)
+    for row in range(values.data.shape[0]):
+        tgt = index[row]
+        sel = (values.data[row] == out[tgt]) & ~taken[tgt]
+        winner[row] = sel
+        taken[tgt] |= sel
+
+    def backward(g):
+        return [g[index] * winner]
+
+    return custom_gradient(out, [values], backward)
+
+
+def _assert_scatter_max_matches_oracle(data, index, num_targets, seed=0):
+    """Outputs and gradients under a random upstream are byte-equal."""
+    results = []
+    for fn in (scatter_max, _scatter_max_reference):
+        v = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+        out = fn(v, index, num_targets)
+        g = np.random.default_rng(seed).standard_normal(out.shape)
+        out.backward(g)
+        results.append((out.data, v.grad))
+    (out, grad), (ref_out, ref_grad) = results
+    assert out.shape == ref_out.shape and out.dtype == ref_out.dtype
+    assert out.tobytes() == ref_out.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+#: (values, index, num_targets) cases the oracle gate must always cover.
+_SCATTER_MAX_CASES = {
+    "ties_first_row_wins": ([[2.0, 1.0], [2.0, 3.0], [2.0, 3.0]], [1, 1, 1], 2),
+    "post_relu_zero_rows": ([[0.0, 0.0], [0.0, 0.5], [0.0, 0.0]], [0, 0, 2], 4),
+    "neg_zero_then_zero": ([-0.0, 0.0, -0.0, 0.0], [0, 0, 1, 1], 2),
+    "zero_then_neg_zero": ([0.0, -0.0, -1.0, -0.0], [0, 0, 1, 1], 2),
+    # One segment of every length 1..40, so a vectorised reduction folds
+    # some of them out of row order whatever the SIMD width.
+    "signed_zero_segments": (
+        np.where(np.random.default_rng(0).integers(0, 2, 820) == 1, -0.0, 0.0),
+        np.repeat(np.arange(40), np.arange(1, 41)),
+        40,
+    ),
+    "inf_and_nan_become_zero": (
+        [[_INF, 1.0], [0.0, _NAN], [-0.0, 2.0], [-_INF, -_INF]], [0, 0, 0, 1], 2
+    ),
+    "empty_rows": (np.zeros((0, 3)), [], 3),
+    "bins_past_every_index": ([[1.0], [3.0]], [0, 0], 5),
+    "one_dim": ([1.0, 5.0, 5.0, -2.0], [1, 1, 1, 0], 2),
+    "three_dim": (np.arange(24.0).reshape(4, 2, 3) % 5, [0, 1, 0, 1], 3),
+}
+
+
+_PALETTES = [
+    [0.0, -0.0],
+    [0.0, -0.0, 1.0, -1.0],
+    [0.0, -0.0, 1.0, -1.0, 2.5, _INF, -_INF, _NAN],
+]
+
+
+@st.composite
+def _scatter_max_inputs(draw):
+    trailing = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rows = draw(st.integers(0, 20))
+    bins = draw(st.integers(1, 5))
+    index = draw(st.lists(st.integers(0, bins - 1), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        # Post-ReLU activations: continuous values clipped at zero.
+        elements = st.floats(-2.0, 2.0).map(lambda x: max(x, 0.0))
+    else:
+        elements = st.sampled_from(draw(st.sampled_from(_PALETTES)))
+    size = rows * math.prod(trailing)
+    flat = draw(st.lists(elements, min_size=size, max_size=size))
+    values = np.array(flat, dtype=np.float64).reshape((rows,) + trailing)
+    num_targets = bins + draw(st.integers(0, 2))
+    return values, np.array(index, dtype=np.int64), num_targets, draw(st.integers(0, 2**32 - 1))
+
+
+class TestScatterMaxOracle:
+    """``scatter_max`` against the per-row loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(_SCATTER_MAX_CASES))
+    def test_named_cases(self, case):
+        _assert_scatter_max_matches_oracle(*_SCATTER_MAX_CASES[case])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scatter_max_inputs())
+    def test_random_cases(self, inputs):
+        _assert_scatter_max_matches_oracle(*inputs)
+
+    def test_non_finite_maximum_is_zero(self):
+        v = Tensor(np.array([[_NAN], [_INF], [-_INF]]), requires_grad=True)
+        out = scatter_max(v, np.array([0, 1, 2]), 3)
+        assert out.data.ravel().tolist() == [0.0, 0.0, 0.0]
+        assert not np.signbit(out.data).any()
+
+    def test_fit_with_oracle_is_byte_equal(self, monkeypatch):
+        ds = make_shapes_dataset(
+            num_per_class=2, resolution=Resolution(16, 16), duration_us=20_000, seed=0
+        )
+        cfg = GraphBuildConfig(radius=4.0, time_scale_us=5000.0, max_events=60)
+        graphs = [build_event_graph(s.stream, cfg) for s in ds]
+        calls = []
+
+        def oracle(values, index, num_targets):
+            calls.append(values.shape)
+            return _scatter_max_reference(values, index, num_targets)
+
+        fitted = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(gnn_layers, "scatter_max", oracle)
+            model = EventGNNClassifier(3, hidden=8, rng=np.random.default_rng(1))
+            fit_gnn(model, ds, cfg, epochs=2, graphs=graphs)
+            logits = np.concatenate([model(g).data for g in graphs])
+            fitted.append(([p.data.tobytes() for p in model.parameters()], logits.tobytes()))
+        assert calls, "the oracle run never reached scatter_max"
+        assert fitted[0] == fitted[1]
 
 
 class TestScatterOps:
@@ -86,10 +222,11 @@ class TestScatterOps:
         assert out.data[2, 0] == 0.0
 
     def test_scatter_max_tie_single_winner(self):
-        v = Tensor(np.array([[2.0], [2.0]]), requires_grad=True)
-        out = scatter_max(v, np.array([0, 0]), 1)
+        v = Tensor(np.array([[1.0], [2.0], [2.0]]), requires_grad=True)
+        out = scatter_max(v, np.array([0, 0, 0]), 1)
         out.sum().backward()
-        assert v.grad.sum() == 1.0  # exactly one winner gets the gradient
+        # Exactly one winner gets the gradient: the first tied row.
+        assert v.grad.ravel().tolist() == [0.0, 1.0, 0.0]
 
     def test_scatter_validation(self):
         v = Tensor(np.zeros((3, 1)))
@@ -97,6 +234,22 @@ class TestScatterOps:
             scatter_sum(v, np.zeros(2, dtype=np.int64), 2)
         with pytest.raises(ValueError):
             scatter_max(v, np.zeros(2, dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("scatter", [scatter_sum, scatter_mean, scatter_max])
+    @pytest.mark.parametrize(
+        "rows, index, match",
+        [
+            (2, [[0], [1]], "1-D"),
+            (3, [0, 1], "one index per value row"),
+            (2, [0, -1], "out of range"),
+            (2, [0, 2], "out of range"),
+        ],
+        ids=["two_dim", "length", "negative", "past_num_targets"],
+    )
+    def test_scatter_rejects_bad_index(self, scatter, rows, index, match):
+        v = Tensor(np.arange(float(rows)).reshape(rows, 1))
+        with pytest.raises(ValueError, match=match):
+            scatter(v, np.array(index), 2)
 
 
 class TestGraphConvLayers:

@@ -304,6 +304,16 @@ class TestDeterminismLint:
         assert lint.lint_source(src) == []
         assert lint.lint_source("x = np.sort(a, kind='stable')\n") == []
 
+    def test_method_form_argsort_is_tracked(self):
+        lint = self._lint()
+        violations = lint.lint_source("order = keys.argsort()\n", "f.py")
+        assert len(violations) == 1
+        assert violations[0].startswith("f.py:1: .argsort(...)")
+        assert lint.lint_source('order = keys[:, 0].argsort(kind="stable")\n') == []
+        assert lint.lint_source("o = perm.argsort()  # sort-ok: a permutation\n") == []
+        # np.argsort( is one call, not also a method-form one.
+        assert len(lint.lint_source("o = np.argsort(k)\n")) == 1
+
     def test_pragma_allowlists_same_or_previous_line(self):
         lint = self._lint()
         assert lint.lint_source("p = np.sort(k * n)  # sort-ok: packed\n") == []

@@ -7,8 +7,9 @@ rule grew from were an ``np.argsort`` fallback in the radius-graph
 builder and the channel-pruning norm sort, both of which reordered tied
 keys from run to run.  The rule:
 
-* every ``np.sort(`` / ``np.argsort(`` call must pass
-  ``kind="stable"``, OR
+* every ``np.sort(`` / ``np.argsort(`` call, and every method-form
+  ``.argsort(`` (an ndarray-only name; ``.sort(`` is left out because
+  lists have it too), must pass ``kind="stable"``, OR
 * carry a ``# sort-ok: <reason>`` pragma on the call's first line or
   the line directly above it, asserting the sort is order-canonical
   (packed unique keys, a pure value sort whose equal elements are
@@ -31,7 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Call heads the lint tracks.
-_CALL_RE = re.compile(r"\bnp\.(?:arg)?sort\(")
+_CALL_RE = re.compile(r"(?:\bnp\.(?:arg)?sort|\.argsort)\(")
 
 #: Accepted stability argument, single or double quotes.
 _STABLE_RE = re.compile(r"kind\s*=\s*(['\"])stable\1")
