@@ -12,7 +12,7 @@ from repro.analysis import ascii_series, ascii_table
 from repro.camera import CameraConfig, EventCamera, MovingDisk
 from repro.cnn import two_channel_frame
 from repro.events import Resolution
-from repro.gnn import EventGraph, make_causal, radius_graph_kdtree
+from repro.gnn import EventGraph, make_causal, radius_graph
 from repro.hw import compression_ratio
 from repro.snn import (
     ATan,
@@ -98,7 +98,7 @@ def test_fig2_right_event_graph(benchmark):
     points = sub.as_point_cloud(time_scale_us=2000.0)
 
     def build():
-        edges = radius_graph_kdtree(points, 4.0)
+        edges = radius_graph(points, 4.0, method="kdtree")
         return make_causal(edges, points)
 
     edges = benchmark(build)

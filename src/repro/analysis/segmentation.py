@@ -17,7 +17,7 @@ import networkx as nx
 import numpy as np
 
 from ..events.stream import EventStream
-from ..gnn.build import radius_graph_spatial_hash
+from ..gnn.build import radius_graph
 
 __all__ = ["SegmentationResult", "segment_events", "segmentation_purity"]
 
@@ -80,7 +80,7 @@ def segment_events(
         return SegmentationResult(np.zeros(0, dtype=np.int64), 0, 0)
 
     points = stream.as_point_cloud(time_scale_us)
-    edges = radius_graph_spatial_hash(points, radius)
+    edges = radius_graph(points, radius)
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(map(tuple, edges))

@@ -88,45 +88,16 @@ class ParadigmPipeline(abc.ABC):
     #: Observability sink; ``None`` (the default) disables the wrapper.
     _obs: Instrumentation | None = None
 
-    #: Representation cache; ``None`` (the default) encodes from scratch.
-    _cache = None
-
     @classmethod
     def from_config(cls, config) -> "ParadigmPipeline":
         """Construct a pipeline from its frozen config dataclass.
 
         The config (see :mod:`repro.core.presets`) is the picklable,
         content-hashable description of a pipeline — the currency of
-        the sharded executor and the representation cache.  Keyword
-        construction keeps working unchanged; this is the structured
-        alternative.
+        the sharded executor.  Keyword construction keeps working
+        unchanged; this is the structured alternative.
         """
         return cls(**config.kwargs())
-
-    def attach_cache(self, cache) -> "ParadigmPipeline":
-        """Attach a representation cache (``None`` detaches); returns self.
-
-        With a :class:`~repro.parallel.cache.RepresentationCache`
-        attached, the paradigm's event encoding (frame stack, spike
-        tensor or event graph) is memoized by content address — raw
-        event bytes plus canonical encoder config — and shared across
-        ``fit`` / ``predict`` / ``measure`` / :meth:`predict_batch`
-        calls.  Cached values are returned by reference and must not
-        be mutated.
-        """
-        self._cache = cache
-        return self
-
-    @property
-    def cache(self):
-        """The attached representation cache, if any."""
-        return self._cache
-
-    def _cached(self, kind: str, stream: EventStream, config, compute):
-        """Route one encoding through the attached cache (if any)."""
-        if self._cache is None:
-            return compute()
-        return self._cache.get_or_compute(kind, stream, config, compute)
 
     def instrument(self, instrumentation: Instrumentation | None) -> "ParadigmPipeline":
         """Attach an observability sink (``None`` detaches); returns self.
@@ -203,9 +174,7 @@ class ParadigmPipeline(abc.ABC):
         """Classify a batch of recordings in one instrumented stage.
 
         Serving-style entry point: the whole batch runs as a single
-        ``predict_batch`` span/counter, and with a representation
-        cache attached (:meth:`attach_cache`) repeated or previously
-        seen recordings reuse their encodings instead of re-encoding.
+        ``predict_batch`` span/counter.
 
         Args:
             streams: an iterable of event streams.
@@ -345,19 +314,7 @@ class SNNPipeline(ParadigmPipeline):
         self._num_inputs = 0
         self._num_classes = 0
 
-    def _encoder_config(self) -> dict:
-        """Cache-key description of the spike-tensor encoding."""
-        return {"paradigm": "SNN", "num_steps": self.num_steps, "pool": self.pool}
-
     def _encode(self, stream: EventStream) -> np.ndarray:
-        return self._cached(
-            "snn_spike_tensor",
-            stream,
-            self._encoder_config(),
-            lambda: self._encode_impl(stream),
-        )
-
-    def _encode_impl(self, stream: EventStream) -> np.ndarray:
         tensor = events_to_spike_tensor(stream, self.num_steps, pool=self.pool)
         return tensor.reshape(self.num_steps, -1)
 
@@ -493,23 +450,7 @@ class CNNPipeline(ParadigmPipeline):
         self._hw: tuple[int, int] = (0, 0)
         self._window_us = 0.0
 
-    def _encoder_config(self) -> dict:
-        """Cache-key description of the frame encoding."""
-        return {
-            "paradigm": "CNN",
-            "representation": self.representation.name,
-            "normalisation": "max_abs",
-        }
-
     def _encode(self, stream: EventStream) -> np.ndarray:
-        return self._cached(
-            "cnn_frame",
-            stream,
-            self._encoder_config(),
-            lambda: self._encode_impl(stream),
-        )
-
-    def _encode_impl(self, stream: EventStream) -> np.ndarray:
         frame = self.representation(stream)
         # Per-frame max-magnitude normalisation keeps activations stable
         # (voxel grids are signed, so normalise by |.|).
@@ -663,15 +604,6 @@ class GNNPipeline(ParadigmPipeline):
         self.model: EventGNNClassifier | None = None
         self._resolution = None
 
-    def _graph(self, stream: EventStream):
-        """Build (or fetch from the cache) the event graph of one stream."""
-        return self._cached(
-            "gnn_graph",
-            stream,
-            self.config,
-            lambda: build_event_graph(stream, self.config),
-        )
-
     def _fit(self, train: EventDataset) -> None:
         from ..gnn.models import fit_gnn
 
@@ -682,11 +614,6 @@ class GNNPipeline(ParadigmPipeline):
             in_features=self.config.num_node_features,
             rng=np.random.default_rng(self.seed),
         )
-        graphs = (
-            [self._graph(s.stream) for s in train]
-            if self._cache is not None
-            else None
-        )
         fit_gnn(
             self.model,
             train,
@@ -694,12 +621,11 @@ class GNNPipeline(ParadigmPipeline):
             epochs=self.epochs,
             lr=self.lr,
             rng=np.random.default_rng(self.seed),
-            graphs=graphs,
         )
 
     def _predict(self, stream: EventStream) -> int:
         self._require_fitted()
-        graph = self._graph(stream)
+        graph = build_event_graph(stream, self.config)
         with no_grad():
             return int(self.model(graph).data.argmax())
 
@@ -787,7 +713,7 @@ class GNNPipeline(ParadigmPipeline):
 
     def _measure(self, test: EventDataset, temporal_labels: tuple[int, ...] = ()) -> PipelineMetrics:
         self._require_fitted()
-        graphs = [self._graph(s.stream) for s in test]
+        graphs = [build_event_graph(s.stream, self.config) for s in test]
         nodes = float(np.mean([g.num_nodes for g in graphs]))
         edges = float(np.mean([g.num_edges for g in graphs]))
         durations = float(np.mean([max(s.stream.duration, 1) for s in test]))

@@ -14,9 +14,6 @@ from .build import (
     limit_in_degree,
     make_causal,
     radius_graph,
-    radius_graph_kdtree,
-    radius_graph_naive,
-    radius_graph_spatial_hash,
     radius_graph_spatial_hash_reference,
 )
 from .compact import (
@@ -66,9 +63,6 @@ __all__ = [
     "EventGNNLocalizer",
     "fit_localizer",
     "localisation_error",
-    "radius_graph_naive",
-    "radius_graph_kdtree",
-    "radius_graph_spatial_hash",
     "radius_graph_spatial_hash_reference",
     "knn_graph",
     "make_causal",

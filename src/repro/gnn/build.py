@@ -22,9 +22,6 @@ from scipy.spatial import cKDTree
 __all__ = [
     "radius_graph",
     "RADIUS_GRAPH_METHODS",
-    "radius_graph_naive",
-    "radius_graph_kdtree",
-    "radius_graph_spatial_hash",
     "radius_graph_spatial_hash_reference",
     "knn_graph",
     "make_causal",
@@ -59,10 +56,9 @@ def _canonical(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
-    """Deprecated alias for ``radius_graph(points, r, method="naive")``.
+def _radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
+    """``radius_graph(method="naive")``: all pairs within ``radius``, O(N^2).
 
-    All directed pairs within ``radius``, by O(N^2) comparison.
     Self-loops are excluded; both directions of each pair are included.
     Retained as the brute-force oracle the fast methods are pinned to.
     """
@@ -80,11 +76,8 @@ def radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
     return _canonical(np.stack([src, dst], axis=1).astype(np.int64))
 
 
-def radius_graph_kdtree(points: np.ndarray, radius: float) -> np.ndarray:
-    """Deprecated alias for ``radius_graph(points, r, method="kdtree")``.
-
-    Radius graph via k-d tree (the tree-search method of ref [75]).
-    """
+def _radius_graph_kdtree(points: np.ndarray, radius: float) -> np.ndarray:
+    """``radius_graph(method="kdtree")``: the tree-search method of ref [75]."""
     points = _check_points(points)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -101,7 +94,7 @@ def radius_graph_kdtree(points: np.ndarray, radius: float) -> np.ndarray:
 def radius_graph_spatial_hash_reference(
     points: np.ndarray, radius: float
 ) -> np.ndarray:
-    """Loop-based reference for :func:`radius_graph_spatial_hash`.
+    """Loop-based reference for ``radius_graph(method="spatial_hash")``.
 
     Kept as the readable oracle the vectorized implementation is
     validated against (see ``tests/test_hotpath_equivalence.py``); use
@@ -146,12 +139,11 @@ def radius_graph_spatial_hash_reference(
     return _canonical(np.stack([src_list, dst_list], axis=1).astype(np.int64))
 
 
-def radius_graph_spatial_hash(points: np.ndarray, radius: float) -> np.ndarray:
-    """Deprecated alias for ``radius_graph(points, r, method="spatial_hash")``.
+def _radius_graph_spatial_hash(points: np.ndarray, radius: float) -> np.ndarray:
+    """``radius_graph(method="spatial_hash")``: uniform-grid spatial hashing.
 
-    Radius graph via uniform-grid spatial hashing.  Points are bucketed
-    into cells of side ``radius``; each point is only
-    compared against the 27 neighbouring cells.  For bounded point
+    Points are bucketed into cells of side ``radius``; each point is
+    only compared against the 27 neighbouring cells.  For bounded point
     density this is O(N) — the algorithmic ingredient behind real-time
     event-graph updates.
 
@@ -259,10 +251,8 @@ def radius_graph(
 
     Consolidates the three construction algorithms behind one call;
     every method returns the identical canonical edge list, so
-    ``method`` selects complexity only.  The per-algorithm functions
-    (``radius_graph_naive`` / ``radius_graph_kdtree`` /
-    ``radius_graph_spatial_hash``) remain available as deprecated
-    aliases and as the reference oracles the tests compare against.
+    ``method`` selects complexity only; "naive" and "kdtree" are the
+    oracles the tests pin "spatial_hash" to.
 
     Args:
         points: ``(N, 3)`` spatiotemporal point cloud.
@@ -270,11 +260,11 @@ def radius_graph(
         method: one of :data:`RADIUS_GRAPH_METHODS`.
     """
     if method == "spatial_hash":
-        return radius_graph_spatial_hash(points, radius)
+        return _radius_graph_spatial_hash(points, radius)
     if method == "kdtree":
-        return radius_graph_kdtree(points, radius)
+        return _radius_graph_kdtree(points, radius)
     if method == "naive":
-        return radius_graph_naive(points, radius)
+        return _radius_graph_naive(points, radius)
     raise ValueError(
         f"unknown radius_graph method {method!r} "
         f"(expected one of {RADIUS_GRAPH_METHODS})"

@@ -39,10 +39,15 @@ def _check_index(values: Tensor, index, num_targets: int) -> np.ndarray:
 
     Rejects, before any work, what numpy would otherwise wrap silently
     (a negative index lands in a bin counted from the end) or report
-    obscurely: a non-1-D index, a length other than ``values.shape[0]``
-    and any index outside ``[0, num_targets)``.
+    obscurely: a non-integer index (a cast would truncate it), a
+    non-1-D index, a length other than ``values.shape[0]`` and any index
+    outside ``[0, num_targets)``.  An empty index of any dtype (``[]``
+    arrives as float64) is accepted.
     """
-    index = np.asarray(index, dtype=np.int64)
+    index = np.asarray(index)
+    if index.size and not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"index must be integer, got dtype {index.dtype}")
+    index = index.astype(np.int64, copy=False)
     if index.ndim != 1:
         raise ValueError(f"index must be 1-D, got shape {index.shape}")
     if index.shape[0] != values.shape[0]:

@@ -202,9 +202,8 @@ def fit_gnn(
     """Train a graph classifier, one graph per step.
 
     Graphs are pre-built once (construction is deterministic) and
-    shuffled between epochs; callers holding already-built (e.g.
-    cached) graphs pass them via ``graphs``, aligned with ``dataset``
-    order.  ``epochs=0`` performs no optimisation and just evaluates
+    shuffled between epochs; callers holding already-built graphs
+    pass them via ``graphs``, aligned with ``dataset`` order.  ``epochs=0`` performs no optimisation and just evaluates
     the (freshly initialised or externally restored) model —
     checkpoint resume relies on this to rebuild the architecture
     without retraining.

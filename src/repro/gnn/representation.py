@@ -52,8 +52,7 @@ class GraphRepresentation(Protocol):
 
     Implementations are stateless singletons registered in
     :data:`REPRESENTATIONS`; ``build`` must be deterministic in
-    ``(stream, config)`` — the representation cache addresses its
-    results by exactly that pair.
+    ``(stream, config)``.
     """
 
     #: Registry key and the value of ``GraphBuildConfig.representation``.

@@ -1,18 +1,13 @@
-"""Sharded parallel execution and content-addressed representation caching.
+"""Sharded parallel execution of the paradigm sweeps.
 
 The comparison, robustness and streaming grids are embarrassingly
-parallel (paradigm × condition × recording), and their cells re-encode
-the same recordings.  This package runs all three behind one API:
+parallel (paradigm × condition × recording).  This package runs all
+three behind one API:
 
 * :mod:`~repro.parallel.sharding` — deterministic work-shard planning
   (the plan depends only on the grid, never on the worker count),
   per-shard seed derivation via :func:`derive_seed`, and two backends:
   serial (the reference) and a persistent forked process pool;
-* :mod:`~repro.parallel.cache` — a content-addressed
-  :class:`RepresentationCache` keyed by the SHA-256 of the raw event
-  bytes plus the canonicalised encoder config, memoizing CNN frame
-  stacks, SNN spike tensors and GNN graphs in memory (LRU) and
-  optionally on disk;
 * :mod:`~repro.parallel.merge` — a deterministic fold of per-shard
   metrics, reports and observability snapshots into one reconciled
   result that passes ``validate_snapshot`` and the shard-count
@@ -25,13 +20,6 @@ are byte-identical across backends and worker counts.
 """
 
 from .api import SweepResult, SweepSpec, run_sweep
-from .cache import (
-    CacheConfig,
-    RepresentationCache,
-    canonical_json,
-    config_digest,
-    content_key,
-)
 from .merge import (
     DeterministicClock,
     merge_metrics,
@@ -59,11 +47,6 @@ __all__ = [
     "balance_assignments",
     "derive_seed",
     "run_shards",
-    "CacheConfig",
-    "RepresentationCache",
-    "canonical_json",
-    "config_digest",
-    "content_key",
     "DeterministicClock",
     "merge_metrics",
     "merge_snapshots",

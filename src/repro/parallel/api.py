@@ -1,4 +1,4 @@
-"""Unified sweep entry point: one spec, three kinds, sharded and cached.
+"""Unified sweep entry point: one spec, three kinds, sharded.
 
 :func:`run_sweep` is the single calling convention behind the
 repository's three measurement grids — the Table-I comparison
@@ -8,10 +8,7 @@ repository's three measurement grids — the Table-I comparison
 factories × conditions), the seeds, the instrumentation and the
 ``parallel=`` knob; the executor plans deterministic shards
 (:func:`~repro.parallel.sharding.plan_shards`), runs them serially or
-on a persistent forked process pool, memoizes event encodings through
-the content-addressed :class:`~repro.parallel.cache.RepresentationCache`
-(optionally one cache shared by every shard —
-``CacheConfig(shared=True)``), and folds per-shard results and
+on a persistent forked process pool, and folds per-shard results and
 observability snapshots into one reconciled :class:`SweepResult`.
 
 Determinism contract: with the default per-shard instrumentation, the
@@ -30,16 +27,13 @@ import dataclasses
 import json
 import logging
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..core.comparison import PARADIGMS, assemble_comparison, measure_paradigm
 from ..core.presets import default_configs, make_pipeline
 from ..observability import Instrumentation
-from .cache import CacheConfig, RepresentationCache
 from .merge import DeterministicClock, merge_snapshots, reconcile_shards
 from .sharding import ParallelConfig, Shard, plan_shards, run_shards
 
@@ -134,15 +128,13 @@ class SweepSpec:
             through event timing.
         seed: master seed of the sweep.
         options: kind-specific extras — robustness:
-            ``fault_profile``, ``checkpoint_dir``, ``max_retries``,
-            ``stage_timeout_s``; streaming: ``fallbacks``,
+            ``fault_profile``, ``checkpoint_dir`` (resume state and
+            models go to its ``seed-{seed}`` subdirectory),
+            ``max_retries``, ``stage_timeout_s``; streaming: ``fallbacks``,
             ``service_models``, ``shed_policy``, ``breaker_policy``,
             ``queue_capacity``; comparison takes none.  Any other key
             raises ``ValueError``.
         parallel: sharded-execution knobs.
-        cache: representation-cache knobs (fresh per-shard in-memory
-            tier by default; ``shared=True`` shares one cache across
-            all shards — see :class:`~repro.parallel.cache.CacheConfig`).
         instrumentation: optional user-owned
             :class:`~repro.observability.Instrumentation` shared by
             every shard — serial backend only.  When None (the
@@ -162,7 +154,6 @@ class SweepSpec:
     seed: int = 0
     options: dict[str, Any] = field(default_factory=dict)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
     instrumentation: Instrumentation | None = None
 
 
@@ -182,7 +173,6 @@ class SweepResult:
             ``validate_snapshot`` and the shard-count invariants).
         num_shards: shard-plan size.
         num_cells: total grid cells.
-        cache_stats: representation-cache totals across shards.
     """
 
     kind: str
@@ -190,7 +180,6 @@ class SweepResult:
     snapshot: dict[str, Any]
     num_shards: int
     num_cells: int
-    cache_stats: dict[str, int]
 
 
 # ----------------------------------------------------------------------
@@ -258,46 +247,13 @@ def _execute_shard(
     raise ValueError(f"unknown shard kind {kind!r}")
 
 
-def _shard_cache(
-    task: dict[str, Any], obs: Instrumentation
-) -> RepresentationCache | None:
-    """The shard's representation cache.
-
-    Prefers a sweep-wide shared instance when the coordinator provides
-    one.  A shared cache (or a per-shard cache over a shared disk
-    tier, i.e. ``CacheConfig.shared`` on the process backend) is never
-    bound to the shard's instrumentation: its hit pattern depends on
-    shard scheduling, and keeping those counters out of the snapshot
-    is what preserves byte-identical merged snapshots across worker
-    counts.
-    """
-    cache = task.get("shared_cache")
-    if cache is not None:
-        return cache
-    config: CacheConfig = task["cache"]
-    return RepresentationCache.from_config(
-        config, instrumentation=None if config.shared else obs
-    )
-
-
-def _shard_cache_stats(task: dict[str, Any], cache) -> dict[str, int]:
-    """Per-shard cache totals (empty for a shared cache: counted once
-    by the coordinator, not once per shard)."""
-    if cache is None or task.get("shared_cache") is not None:
-        return {}
-    return cache.stats()
-
-
 def _comparison_shard(task: dict[str, Any]) -> dict[str, Any]:
     """One comparison cell: construct, fit and measure one pipeline."""
     obs, own, _ = _shard_obs(task)
-    cache = _shard_cache(task, obs)
     cells = []
     for cell in task["shard"].cells:
         pipeline = _materialise(task["pipelines"][cell.paradigm], cell.condition)
         pipeline.instrument(obs)
-        if cache is not None:
-            pipeline.attach_cache(cache)
         metrics = measure_paradigm(
             pipeline, task["train"], task["test"], task["temporal_labels"]
         )
@@ -305,7 +261,6 @@ def _comparison_shard(task: dict[str, Any]) -> dict[str, Any]:
     return {
         "snapshot": obs.snapshot() if own else None,
         "cells": cells,
-        "cache_stats": _shard_cache_stats(task, cache),
     }
 
 
@@ -314,12 +269,9 @@ def _robustness_shard(task: dict[str, Any]) -> dict[str, Any]:
     from ..reliability.sweep import run_paradigm_curve
 
     obs, own, clock = _shard_obs(task)
-    cache = _shard_cache(task, obs)
     shard: Shard = task["shard"]
     name = shard.cells[0].paradigm
     pipeline = _materialise(task["pipelines"][name])
-    if cache is not None:
-        pipeline.attach_cache(cache)
 
     state_path = task["state_path"]  # serial backend only: incremental writes
     done = task["done"]
@@ -352,7 +304,6 @@ def _robustness_shard(task: dict[str, Any]) -> dict[str, Any]:
         "paradigm": name,
         "points": points,
         "fresh": fresh,
-        "cache_stats": _shard_cache_stats(task, cache),
     }
 
 
@@ -381,7 +332,6 @@ def _streaming_shard(task: dict[str, Any]) -> dict[str, Any]:
         "snapshot": obs.snapshot() if own else None,
         "paradigm": name,
         "points": points,
-        "cache_stats": {},
     }
 
 
@@ -407,48 +357,13 @@ def _normalise_factories(
     return factories
 
 
-def _cache_plumbing(
-    spec: SweepSpec, backend: str
-) -> tuple[dict[str, Any], RepresentationCache | None, Callable[[], None]]:
-    """Shared-cache wiring: (base shared context, shared cache, cleanup).
-
-    With ``spec.cache.shared``, the serial backend gets **one** cache
-    instance handed to every shard by reference, so replicated cells
-    reuse each other's encodings instead of re-encoding per shard.  The
-    process backend cannot share memory; there the shards get a common
-    disk tier instead — ``cache_dir`` if set, else a per-run temp
-    directory that the returned cleanup removes.
-    """
-    cache_config = spec.cache
-    shared_cache: RepresentationCache | None = None
-
-    def cleanup() -> None:
-        pass
-
-    if cache_config.enabled and cache_config.shared:
-        if backend == "serial":
-            shared_cache = RepresentationCache.from_config(cache_config)
-        elif cache_config.cache_dir is None:
-            tmp_dir = tempfile.mkdtemp(prefix="repro-sweep-cache-")
-            cache_config = dataclasses.replace(cache_config, cache_dir=tmp_dir)
-
-            def cleanup() -> None:
-                shutil.rmtree(tmp_dir, ignore_errors=True)
-
-    shared: dict[str, Any] = {"cache": cache_config}
-    if shared_cache is not None:
-        shared["shared_cache"] = shared_cache
-    return shared, shared_cache, cleanup
-
-
 def _collect(
     spec: SweepSpec,
     shards: tuple[Shard, ...],
     tasks: list[dict[str, Any]],
     parallel: ParallelConfig,
     shared: dict[str, Any],
-    shared_cache: RepresentationCache | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, Any], dict[str, int]]:
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run the shard plan and reconcile the merged snapshot."""
     outs = run_shards(tasks, _execute_shard, parallel, shared=shared)
     if spec.instrumentation is not None:
@@ -461,14 +376,7 @@ def _collect(
         raise RuntimeError(
             "merged snapshot failed reconciliation: " + "; ".join(problems)
         )
-    cache_stats: dict[str, int] = {}
-    for out in outs:
-        for key, value in out.get("cache_stats", {}).items():
-            cache_stats[key] = cache_stats.get(key, 0) + value
-    if shared_cache is not None:
-        for key, value in shared_cache.stats().items():
-            cache_stats[key] = cache_stats.get(key, 0) + value
-    return outs, snapshot, cache_stats
+    return outs, snapshot
 
 
 def _run_comparison(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
@@ -478,24 +386,16 @@ def _run_comparison(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
     )
     conditions = tuple(spec.conditions)
     shards = plan_shards(PARADIGMS, conditions, group_by="cell")
-    shared, shared_cache, cleanup = _cache_plumbing(spec, backend)
-    shared.update(
-        {
-            "kind": "comparison",
-            "shared_obs": spec.instrumentation,
-            "pipelines": factories,
-            "train": spec.train,
-            "test": spec.test,
-            "temporal_labels": tuple(spec.temporal_labels),
-        }
-    )
+    shared = {
+        "kind": "comparison",
+        "shared_obs": spec.instrumentation,
+        "pipelines": factories,
+        "train": spec.train,
+        "test": spec.test,
+        "temporal_labels": tuple(spec.temporal_labels),
+    }
     tasks = [{"shard": shard} for shard in shards]
-    try:
-        outs, snapshot, cache_stats = _collect(
-            spec, shards, tasks, parallel, shared, shared_cache
-        )
-    finally:
-        cleanup()
+    outs, snapshot = _collect(spec, shards, tasks, parallel, shared)
 
     measured = [cell for out in outs for cell in out["cells"]]
     if conditions:
@@ -513,7 +413,6 @@ def _run_comparison(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         snapshot=snapshot,
         num_shards=len(shards),
         num_cells=sum(len(s.cells) for s in shards),
-        cache_stats=cache_stats,
     )
 
 
@@ -532,38 +431,34 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
 
     options = spec.options
     checkpoint_dir = options.get("checkpoint_dir")
-    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
+    # Points and models depend on the seed, so each seed resumes from
+    # its own subdirectory and never picks up another seed's state.
+    checkpoint_dir = (
+        Path(checkpoint_dir) / f"seed-{spec.seed}" if checkpoint_dir else None
+    )
     state_path = checkpoint_dir / "sweep_state.json" if checkpoint_dir else None
     done = _load_state(state_path)
 
     shards = plan_shards(PARADIGMS, severities, group_by="paradigm")
-    shared, shared_cache, cleanup = _cache_plumbing(spec, backend)
-    shared.update(
-        {
-            "kind": "robustness",
-            "shared_obs": spec.instrumentation,
-            "pipelines": factories,
-            "train": spec.train,
-            "test": spec.test,
-            "seed": spec.seed,
-            "fault_profile": options.get("fault_profile", default_fault_profile),
-            "checkpoint_dir": checkpoint_dir,
-            "max_retries": options.get("max_retries", 1),
-            "stage_timeout_s": options.get("stage_timeout_s"),
-            # Incremental state writes only in-process; pool workers
-            # return their fresh points and the coordinator persists
-            # atomically below.
-            "state_path": state_path if backend == "serial" else None,
-            "done": done,
-        }
-    )
+    shared = {
+        "kind": "robustness",
+        "shared_obs": spec.instrumentation,
+        "pipelines": factories,
+        "train": spec.train,
+        "test": spec.test,
+        "seed": spec.seed,
+        "fault_profile": options.get("fault_profile", default_fault_profile),
+        "checkpoint_dir": checkpoint_dir,
+        "max_retries": options.get("max_retries", 1),
+        "stage_timeout_s": options.get("stage_timeout_s"),
+        # Incremental state writes only in-process; pool workers
+        # return their fresh points and the coordinator persists
+        # atomically below.
+        "state_path": state_path if backend == "serial" else None,
+        "done": done,
+    }
     tasks = [{"shard": shard} for shard in shards]
-    try:
-        outs, snapshot, cache_stats = _collect(
-            spec, shards, tasks, parallel, shared, shared_cache
-        )
-    finally:
-        cleanup()
+    outs, snapshot = _collect(spec, shards, tasks, parallel, shared)
 
     result = RobustnessSweepResult(severities=severities, seed=spec.seed)
     for out in outs:
@@ -578,7 +473,6 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         snapshot=snapshot,
         num_shards=len(shards),
         num_cells=sum(len(s.cells) for s in shards),
-        cache_stats=cache_stats,
     )
 
 
@@ -604,19 +498,16 @@ def _run_streaming(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
     fallbacks = options.get("fallbacks")
     service_models = options.get("service_models")
     shards = plan_shards(PARADIGMS, load_factors, group_by="paradigm")
-    shared, shared_cache, cleanup = _cache_plumbing(spec, backend)
-    shared.update(
-        {
-            "kind": "streaming",
-            "shared_obs": spec.instrumentation,
-            "stream": spec.stream,
-            "window_us": int(spec.window_us),
-            "shed_policy": options.get("shed_policy"),
-            "breaker_policy": options.get("breaker_policy"),
-            "queue_capacity": options.get("queue_capacity", 16),
-            "seed": spec.seed,
-        }
-    )
+    shared = {
+        "kind": "streaming",
+        "shared_obs": spec.instrumentation,
+        "stream": spec.stream,
+        "window_us": int(spec.window_us),
+        "shed_policy": options.get("shed_policy"),
+        "breaker_policy": options.get("breaker_policy"),
+        "queue_capacity": options.get("queue_capacity", 16),
+        "seed": spec.seed,
+    }
     tasks = []
     for shard in shards:
         name = shard.cells[0].paradigm
@@ -636,12 +527,7 @@ def _run_streaming(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
                 ),
             }
         )
-    try:
-        outs, snapshot, cache_stats = _collect(
-            spec, shards, tasks, parallel, shared, shared_cache
-        )
-    finally:
-        cleanup()
+    outs, snapshot = _collect(spec, shards, tasks, parallel, shared)
 
     result = StreamingSweepResult(
         load_factors=load_factors, window_us=int(spec.window_us), seed=spec.seed
@@ -654,7 +540,6 @@ def _run_streaming(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         snapshot=snapshot,
         num_shards=len(shards),
         num_cells=sum(len(s.cells) for s in shards),
-        cache_stats=cache_stats,
     )
 
 

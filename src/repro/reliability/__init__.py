@@ -61,7 +61,6 @@ from .runner import (
 from .sweep import (
     RobustnessSweepResult,
     SweepPoint,
-    attach_to_comparison,
     default_fault_profile,
     rate_sweep,
     robustness_scores,
@@ -100,7 +99,6 @@ __all__ = [
     "run_paradigm_curve",
     "robustness_scores",
     "rate_sweep",
-    "attach_to_comparison",
     "SessionFaultPoint",
     "IncrementalRobustnessResult",
     "default_session_fault_profile",

@@ -23,9 +23,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
+from ..core.comparison import PARADIGMS
 from ..core.incremental import AuditPolicy, SessionDivergenceError
-from ..core.metrics import SESSION_ROBUSTNESS_AXIS
 from ..core.pipeline import GNNPipeline
 from ..datasets.base import EventDataset
 from ..events.stream import EventStream
@@ -44,7 +43,6 @@ __all__ = [
     "IncrementalRobustnessResult",
     "run_incremental_robustness",
     "session_robustness_scores",
-    "attach_to_comparison",
 ]
 
 
@@ -162,15 +160,6 @@ def session_robustness_scores(result: IncrementalRobustnessResult) -> dict[str, 
     ]
     scores["GNN"] = float(np.mean(retained))
     return scores
-
-
-def attach_to_comparison(
-    comparison: ComparisonResult, result: IncrementalRobustnessResult
-) -> ComparisonResult:
-    """Fold a measured sweep into a Table-I comparison (extra row)."""
-    return attach_row(
-        comparison, SESSION_ROBUSTNESS_AXIS, session_robustness_scores(result)
-    )
 
 
 def _windows_of(stream: EventStream, window_us: int) -> list[EventStream]:

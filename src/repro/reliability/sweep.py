@@ -30,8 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
-from ..core.metrics import ROBUSTNESS_AXIS
+from ..core.comparison import PARADIGMS
 from ..core.pipeline import ParadigmPipeline
 from ..core.ratings import Rating, rate_robustness
 from ..datasets.base import EventDataset
@@ -181,13 +180,6 @@ def robustness_scores(result: RobustnessSweepResult) -> dict[str, float]:
 def rate_sweep(result: RobustnessSweepResult) -> dict[str, Rating]:
     """Rate a sweep's retained-accuracy scores on the ``++ / + / -`` scale."""
     return rate_robustness(robustness_scores(result))
-
-
-def attach_to_comparison(
-    comparison: ComparisonResult, result: RobustnessSweepResult
-) -> ComparisonResult:
-    """Fold a measured sweep into a Table-I comparison (extra row)."""
-    return attach_row(comparison, ROBUSTNESS_AXIS, robustness_scores(result))
 
 
 def _point_key(paradigm: str, severity: float) -> str:

@@ -49,7 +49,6 @@ from .sweep import (
     StreamingPoint,
     StreamingSweepResult,
     TransientOutage,
-    attach_to_comparison,
     calibrate_service,
     degradation_violations,
     make_bursty_stream,
@@ -85,7 +84,6 @@ __all__ = [
     "StreamingSweepResult",
     "run_paradigm_stream",
     "overload_scores",
-    "attach_to_comparison",
     "degradation_violations",
     "make_bursty_stream",
     "TransientOutage",

@@ -35,8 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..core.comparison import PARADIGMS, ComparisonResult, attach_row
-from ..core.metrics import OVERLOAD_AXIS
+from ..core.comparison import PARADIGMS
 from ..events.stream import EventStream, Resolution, EVENT_DTYPE
 from .breaker import BreakerPolicy
 from .executor import ServiceModel, StreamingExecutor
@@ -50,7 +49,6 @@ __all__ = [
     "calibrate_service",
     "run_paradigm_stream",
     "overload_scores",
-    "attach_to_comparison",
     "degradation_violations",
     "make_bursty_stream",
     "TransientOutage",
@@ -177,13 +175,6 @@ def overload_scores(result: StreamingSweepResult) -> dict[str, float]:
         fractions = [min(1.0, max(0.0, p.delivered_fraction)) for p in stressed]
         scores[name] = float(np.mean(fractions))
     return scores
-
-
-def attach_to_comparison(
-    comparison: ComparisonResult, result: StreamingSweepResult
-) -> ComparisonResult:
-    """Fold a measured overload sweep into a Table-I comparison."""
-    return attach_row(comparison, OVERLOAD_AXIS, overload_scores(result))
 
 
 def degradation_violations(

@@ -44,9 +44,6 @@ from repro.gnn import (
     quantize_offsets,
     quantize_unit,
     radius_graph,
-    radius_graph_kdtree,
-    radius_graph_naive,
-    radius_graph_spatial_hash,
 )
 from repro.gnn.compact import NBR_EMPTY, NBR_OVERFLOW
 from repro.gnn.models import build_event_graph
@@ -454,7 +451,7 @@ def test_graph_representation_tags():
 def test_radius_graph_dispatcher_equivalence():
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 20, (300, 3))
-    reference = radius_graph_naive(points, 3.0)
+    reference = radius_graph(points, 3.0, method="naive")
     assert np.array_equal(radius_graph(points, 3.0, method="naive"), reference)
     assert np.array_equal(radius_graph(points, 3.0, method="kdtree"), reference)
     assert np.array_equal(
@@ -470,12 +467,17 @@ def test_radius_graph_unknown_method():
         radius_graph(np.zeros((4, 3)), 1.0, method="brute")
 
 
-def test_deprecated_aliases_still_work():
+def test_per_method_builders_are_private():
+    import repro.gnn
+
+    # The algorithms are selected through radius_graph(method=...) only.
+    for name in ("radius_graph_naive", "radius_graph_kdtree", "radius_graph_spatial_hash"):
+        assert not hasattr(repro.gnn, name)
     rng = np.random.default_rng(1)
     points = rng.uniform(0, 10, (100, 3))
     assert np.array_equal(
-        radius_graph_kdtree(points, 2.0),
-        radius_graph_spatial_hash(points, 2.0),
+        radius_graph(points, 2.0, method="kdtree"),
+        radius_graph(points, 2.0, method="spatial_hash"),
     )
 
 

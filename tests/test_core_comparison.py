@@ -106,6 +106,17 @@ class TestIndividualPipelines:
             with pytest.raises(RuntimeError):
                 pipe.measure(None)
 
+    def test_predict_batch_matches_predict(self):
+        ds = make_shapes_dataset(
+            num_per_class=2, resolution=Resolution(16, 16), seed=1
+        )
+        pipeline = SNNPipeline(num_steps=6, hidden=8, epochs=1)
+        pipeline.fit(ds)
+        streams = [s.stream for s in ds]
+        assert pipeline.predict_batch(streams) == [
+            pipeline.predict(s) for s in streams
+        ]
+
 
 class TestComparison:
     @pytest.fixture(scope="class")

@@ -19,10 +19,8 @@ from repro.gnn import (
     knn_graph,
     limit_in_degree,
     make_causal,
+    RADIUS_GRAPH_METHODS,
     radius_graph,
-    radius_graph_kdtree,
-    radius_graph_naive,
-    radius_graph_spatial_hash,
     radius_graph_spatial_hash_reference,
 )
 from repro.gnn.models import build_event_graph
@@ -50,7 +48,7 @@ def random_stream(n=60, seed=0, width=16, height=16):
 class TestEventGraph:
     def test_from_stream(self):
         s = random_stream(30)
-        edges = radius_graph_kdtree(s.as_point_cloud(1000.0), 5.0)
+        edges = radius_graph(s.as_point_cloud(1000.0), 5.0, method="kdtree")
         g = EventGraph.from_stream(s, edges, 1000.0)
         assert g.num_nodes == 30
         assert g.features.shape == (30, 2)
@@ -72,13 +70,13 @@ class TestEventGraph:
 
     def test_mean_degree(self):
         pts = random_points(10)
-        edges = radius_graph_naive(pts, 50.0)  # complete graph
+        edges = radius_graph(pts, 50.0, method="naive")  # complete graph
         g = EventGraph(pts, np.zeros((10, 1)), edges, 1.0)
         assert g.mean_degree == pytest.approx(9.0)
 
     def test_subgraph(self):
         pts = random_points(20, seed=1)
-        edges = radius_graph_naive(pts, 8.0)
+        edges = radius_graph(pts, 8.0, method="naive")
         g = EventGraph(pts, np.zeros((20, 1)), edges, 1.0)
         sub = g.subgraph(np.arange(10))
         assert sub.num_nodes == 10
@@ -87,7 +85,7 @@ class TestEventGraph:
 
     def test_is_causal(self):
         pts = random_points(15, seed=2)
-        edges = radius_graph_naive(pts, 10.0)
+        edges = radius_graph(pts, 10.0, method="naive")
         g_all = EventGraph(pts, np.zeros((15, 1)), edges, 1.0)
         g_causal = EventGraph(pts, np.zeros((15, 1)), make_causal(edges, pts), 1.0)
         assert g_causal.is_causal()
@@ -100,37 +98,37 @@ class TestRadiusGraphEquivalence:
     @pytest.mark.parametrize("radius", [2.0, 5.0, 12.0])
     def test_three_algorithms_agree(self, seed, radius):
         pts = random_points(80, seed=seed)
-        e_naive = radius_graph_naive(pts, radius)
-        e_tree = radius_graph_kdtree(pts, radius)
-        e_hash = radius_graph_spatial_hash(pts, radius)
+        e_naive = radius_graph(pts, radius, method="naive")
+        e_tree = radius_graph(pts, radius, method="kdtree")
+        e_hash = radius_graph(pts, radius, method="spatial_hash")
         np.testing.assert_array_equal(e_naive, e_tree)
         np.testing.assert_array_equal(e_naive, e_hash)
 
     def test_empty_and_single(self):
-        for builder in (radius_graph_naive, radius_graph_kdtree, radius_graph_spatial_hash):
-            assert builder(np.zeros((0, 3)), 1.0).shape == (0, 2)
-            assert builder(np.zeros((1, 3)), 1.0).shape == (0, 2)
+        for method in RADIUS_GRAPH_METHODS:
+            assert radius_graph(np.zeros((0, 3)), 1.0, method).shape == (0, 2)
+            assert radius_graph(np.zeros((1, 3)), 1.0, method).shape == (0, 2)
 
     def test_symmetric(self):
         pts = random_points(40, seed=3)
-        edges = radius_graph_kdtree(pts, 6.0)
+        edges = radius_graph(pts, 6.0, method="kdtree")
         fwd = set(map(tuple, edges))
         assert all((b, a) in fwd for a, b in fwd)
 
     def test_validation(self):
         pts = random_points(5)
-        for builder in (radius_graph_naive, radius_graph_kdtree, radius_graph_spatial_hash):
+        for method in RADIUS_GRAPH_METHODS:
             with pytest.raises(ValueError):
-                builder(pts, 0.0)
+                radius_graph(pts, 0.0, method)
             with pytest.raises(ValueError):
-                builder(np.zeros((4, 2)), 1.0)
+                radius_graph(np.zeros((4, 2)), 1.0, method)
 
     @given(st.integers(2, 40), st.integers(0, 20), st.floats(0.5, 20.0))
     @settings(max_examples=25, deadline=None)
     def test_hash_equals_naive_property(self, n, seed, radius):
         pts = random_points(n, seed=seed)
         np.testing.assert_array_equal(
-            radius_graph_naive(pts, radius), radius_graph_spatial_hash(pts, radius)
+            radius_graph(pts, radius, method="naive"), radius_graph(pts, radius, method="spatial_hash")
         )
 
     def test_argsort_overflow_fallback_matches_reference(self):
@@ -158,12 +156,12 @@ class TestRadiusGraphEquivalence:
         keys = (cells[:, 0] * span[1] + cells[:, 1]) * span[2] + cells[:, 2]
         assert float(keys.max() + 1) * float(len(pts)) >= 2**62
 
-        edges = radius_graph_spatial_hash(pts, radius)
+        edges = radius_graph(pts, radius, method="spatial_hash")
         assert edges.shape[0] > 0  # the cluster forms a real graph
         np.testing.assert_array_equal(
             edges, radius_graph_spatial_hash_reference(pts, radius)
         )
-        np.testing.assert_array_equal(edges, radius_graph_naive(pts, radius))
+        np.testing.assert_array_equal(edges, radius_graph(pts, radius, method="naive"))
 
 
 class TestKnnAndHelpers:
@@ -220,13 +218,13 @@ class TestKnnAndHelpers:
         pts = random_points(30, seed=5)
         # Ensure strictly increasing time so there are no ties.
         pts[:, 2] = np.arange(30, dtype=np.float64)
-        edges = radius_graph_naive(pts, 15.0)
+        edges = radius_graph(pts, 15.0, method="naive")
         causal = make_causal(edges, pts)
         assert causal.shape[0] == edges.shape[0] // 2
 
     def test_limit_in_degree(self):
         pts = random_points(40, seed=6)
-        edges = radius_graph_naive(pts, 30.0)
+        edges = radius_graph(pts, 30.0, method="naive")
         capped = limit_in_degree(edges, pts, 3)
         in_deg = np.bincount(capped[:, 1], minlength=40)
         assert in_deg.max() <= 3

@@ -34,12 +34,12 @@ from .test_nn_tensor import numerical_grad
 
 
 def toy_graph(n=12, seed=0, radius=6.0):
-    from repro.gnn import radius_graph_kdtree
+    from repro.gnn import radius_graph
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 10, (n, 3))
     pts = pts[np.argsort(pts[:, 2], kind="stable")]
-    edges = radius_graph_kdtree(pts, radius)
+    edges = radius_graph(pts, radius, method="kdtree")
     feats = rng.standard_normal((n, 2))
     return EventGraph(pts, feats, edges, 1000.0)
 
@@ -243,13 +243,28 @@ class TestScatterOps:
             (3, [0, 1], "one index per value row"),
             (2, [0, -1], "out of range"),
             (2, [0, 2], "out of range"),
+            (2, [0.9, 1.9], "integer"),
+            (2, [0.0, 1.0], "integer"),
         ],
-        ids=["two_dim", "length", "negative", "past_num_targets"],
+        ids=[
+            "two_dim",
+            "length",
+            "negative",
+            "past_num_targets",
+            "fractional",
+            "integral_float",
+        ],
     )
     def test_scatter_rejects_bad_index(self, scatter, rows, index, match):
         v = Tensor(np.arange(float(rows)).reshape(rows, 1))
         with pytest.raises(ValueError, match=match):
             scatter(v, np.array(index), 2)
+
+    @pytest.mark.parametrize("scatter", [scatter_sum, scatter_mean, scatter_max])
+    def test_scatter_accepts_empty_list_index(self, scatter):
+        # ``np.asarray([])`` is float64; an empty index names no bin.
+        out = scatter(Tensor(np.zeros((0, 2))), [], 3)
+        assert out.data.tolist() == [[0.0, 0.0]] * 3
 
 
 class TestGraphConvLayers:

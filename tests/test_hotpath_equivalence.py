@@ -26,9 +26,8 @@ from repro.gnn import (
     HashInserter,
     KDTreeInserter,
     NaiveInserter,
-    radius_graph_kdtree,
-    radius_graph_naive,
-    radius_graph_spatial_hash,
+    RADIUS_GRAPH_METHODS,
+    radius_graph,
     radius_graph_spatial_hash_reference,
 )
 
@@ -56,31 +55,31 @@ class TestRadiusGraphFourWay:
     @pytest.mark.parametrize("radius", [0.5, 3.0, 8.0])
     def test_all_four_agree(self, seed, radius):
         pts = awkward_points(50, seed)
-        e_naive = radius_graph_naive(pts, radius)
-        np.testing.assert_array_equal(e_naive, radius_graph_kdtree(pts, radius))
+        e_naive = radius_graph(pts, radius, method="naive")
+        np.testing.assert_array_equal(e_naive, radius_graph(pts, radius, method="kdtree"))
         np.testing.assert_array_equal(
             e_naive, radius_graph_spatial_hash_reference(pts, radius)
         )
         np.testing.assert_array_equal(
-            e_naive, radius_graph_spatial_hash(pts, radius)
+            e_naive, radius_graph(pts, radius, method="spatial_hash")
         )
 
     def test_exact_radius_pair_connects(self):
         pts = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-        for builder in (
-            radius_graph_naive,
-            radius_graph_kdtree,
-            radius_graph_spatial_hash_reference,
-            radius_graph_spatial_hash,
-        ):
-            np.testing.assert_array_equal(builder(pts, 3.0), [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(
+            radius_graph_spatial_hash_reference(pts, 3.0), [[0, 1], [1, 0]]
+        )
+        for method in RADIUS_GRAPH_METHODS:
+            np.testing.assert_array_equal(
+                radius_graph(pts, 3.0, method), [[0, 1], [1, 0]]
+            )
 
     def test_all_duplicates(self):
         pts = np.zeros((6, 3))
-        expected = radius_graph_naive(pts, 1.0)
+        expected = radius_graph(pts, 1.0, method="naive")
         assert expected.shape[0] == 30  # complete digraph, no self-loops
         np.testing.assert_array_equal(
-            expected, radius_graph_spatial_hash(pts, 1.0)
+            expected, radius_graph(pts, 1.0, method="spatial_hash")
         )
         np.testing.assert_array_equal(
             expected, radius_graph_spatial_hash_reference(pts, 1.0)
@@ -95,7 +94,7 @@ class TestRadiusGraphFourWay:
     def test_vectorized_hash_equals_naive_property(self, n, seed, radius):
         pts = awkward_points(n, seed)
         np.testing.assert_array_equal(
-            radius_graph_naive(pts, radius), radius_graph_spatial_hash(pts, radius)
+            radius_graph(pts, radius, method="naive"), radius_graph(pts, radius, method="spatial_hash")
         )
 
 

@@ -9,6 +9,8 @@ dataclasses construct pipelines identical to the positional keyword
 API.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,7 @@ from repro.core import (
 from repro.datasets import make_shapes_dataset, train_test_split
 from repro.events import Resolution
 from repro.observability import Instrumentation, to_json
-from repro.parallel import (
-    CacheConfig,
-    ParallelConfig,
-    SweepSpec,
-    reconcile_shards,
-    run_sweep,
-)
+from repro.parallel import ParallelConfig, SweepSpec, reconcile_shards, run_sweep
 from repro.streaming.sweep import make_bursty_stream
 
 WORKER_COUNTS = (1, 2, 4)
@@ -72,6 +68,17 @@ def comparison_runs(split, configs):
             parallel=ParallelConfig(n_workers=n),
         )
         runs[n] = run_sweep(spec)
+    # ``auto`` resolves to serial on a single-CPU host, so the forked
+    # pool is also exercised explicitly, whatever the host.
+    runs["process"] = run_sweep(
+        SweepSpec(
+            kind="comparison",
+            train=train,
+            test=test,
+            pipelines=configs,
+            parallel=ParallelConfig(n_workers=4, backend="process"),
+        )
+    )
     return runs
 
 
@@ -143,11 +150,12 @@ class TestComparisonBitIdentity:
                 reconcile_shards(res.snapshot, res.num_shards, res.num_cells) == []
             )
 
-    def test_cache_counters_in_snapshot(self, comparison_runs):
-        res = comparison_runs[2]
-        names = {s["name"] for s in res.snapshot["metrics"]["counters"]}
-        assert "repr_cache_misses_total" in names
-        assert res.cache_stats["misses"] > 0
+    def test_explicit_process_backend_matches_serial(self, comparison_runs):
+        serial, process = comparison_runs[1], comparison_runs["process"]
+        assert _comparison_bytes(process.result) == _comparison_bytes(
+            serial.result
+        )
+        assert to_json(process.snapshot) == to_json(serial.snapshot)
 
     def test_shard_plan_shape(self, comparison_runs):
         res = comparison_runs[1]
@@ -199,51 +207,6 @@ class TestStreamingBitIdentity:
             assert to_json(streaming_runs[n].snapshot) == reference
 
 
-class TestSharedCache:
-    def _spec(self, split, configs, shared, parallel):
-        train, test = split
-        return SweepSpec(
-            kind="comparison",
-            train=train,
-            test=test,
-            conditions=(0, 1),
-            pipelines=configs,
-            cache=CacheConfig(shared=shared),
-            parallel=parallel,
-        )
-
-    def test_shared_cache_same_results_fewer_misses(self, split, configs):
-        serial = ParallelConfig(n_workers=1)
-        unshared = run_sweep(self._spec(split, configs, False, serial))
-        shared = run_sweep(self._spec(split, configs, True, serial))
-        a = [_comparison_bytes(r) for r in unshared.result]
-        b = [_comparison_bytes(r) for r in shared.result]
-        assert a == b
-        # Seed-replicated cells share encodings (encoder configs exclude
-        # the training seed), so one sweep-wide cache must strictly beat
-        # per-shard caches on misses.
-        assert shared.cache_stats["misses"] < unshared.cache_stats["misses"]
-        assert shared.cache_stats["hits"] > unshared.cache_stats["hits"]
-
-    def test_shared_cache_keeps_snapshot_scheduling_free(self, split, configs):
-        # Cache counters depend on shard scheduling when the cache is
-        # shared, so they must stay out of the merged snapshot …
-        one = run_sweep(
-            self._spec(split, configs, True, ParallelConfig(n_workers=1))
-        )
-        four = run_sweep(
-            self._spec(
-                split, configs, True, ParallelConfig(n_workers=4, backend="process")
-            )
-        )
-        for res in (one, four):
-            names = {c["name"] for c in res.snapshot["metrics"]["counters"]}
-            assert not any(name.startswith("repr_cache") for name in names)
-        # … which keeps the snapshot byte-identical across backends and
-        # worker counts (one in-memory cache vs a shared disk tier).
-        assert to_json(one.snapshot) == to_json(four.snapshot)
-
-
 class TestResumeCrashSafety:
     def _spec(self, split, configs, checkpoint_dir):
         train, test = split
@@ -260,7 +223,7 @@ class TestResumeCrashSafety:
 
     def test_truncated_state_file_resumes_cleanly(self, split, configs, tmp_path):
         first = run_sweep(self._spec(split, configs, tmp_path))
-        state = tmp_path / "sweep_state.json"
+        state = tmp_path / "seed-0" / "sweep_state.json"
         assert state.exists()
         payload = state.read_text()
         # Simulate a writer killed mid-write: a truncated JSON document.
@@ -271,14 +234,22 @@ class TestResumeCrashSafety:
         for name in first.result.curves:
             assert first.result.accuracies(name) == second.result.accuracies(name)
         # State writes are tmp+rename; no stray temp files may survive.
-        assert not list(tmp_path.glob("*.tmp"))
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_garbage_state_file_resumes_cleanly(self, split, configs, tmp_path):
-        state = tmp_path / "sweep_state.json"
+        state = tmp_path / "seed-0" / "sweep_state.json"
         state.parent.mkdir(parents=True, exist_ok=True)
         state.write_text("[1, 2, 3]")  # valid JSON, wrong shape
         result = run_sweep(self._spec(split, configs, tmp_path))
         assert set(result.result.curves) == {"SNN", "CNN", "GNN"}
+
+    def test_resume_ignores_other_seeds_state(self, split, configs, tmp_path):
+        run_sweep(self._spec(split, configs, tmp_path))  # seed 0
+        other = dataclasses.replace(self._spec(split, configs, tmp_path), seed=1)
+        fresh = dataclasses.replace(other, options={})
+        assert _curve_bytes(run_sweep(other).result) == _curve_bytes(
+            run_sweep(fresh).result
+        )
 
 
 class TestConfigConstructors:
@@ -377,16 +348,3 @@ class TestValidation:
         }[kind]
         with pytest.raises(ValueError, match=match):
             run_sweep(SweepSpec(kind=kind, **{**valid, **override}))
-
-    def test_cache_knob_reaches_the_shards(self, split, configs):
-        train, test = split
-        spec = SweepSpec(
-            kind="comparison",
-            train=train,
-            test=test,
-            pipelines=configs,
-            cache=CacheConfig(enabled=False),
-            parallel=ParallelConfig(n_workers=1),
-        )
-        res = run_sweep(spec)
-        assert res.cache_stats == {}

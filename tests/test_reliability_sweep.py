@@ -16,7 +16,9 @@ from repro.core import (
     ComparisonResult,
     GNNPipeline,
     PipelineMetrics,
+    ROBUSTNESS_AXIS,
     SNNPipeline,
+    attach_row,
     rate_values,
     render_table,
     to_markdown,
@@ -31,7 +33,6 @@ from repro.reliability import (
     RobustnessSweepResult,
     RunReport,
     SweepPoint,
-    attach_to_comparison,
     rate_sweep,
     robustness_scores,
 )
@@ -142,8 +143,8 @@ class TestSweepResume:
             )
 
         first = run_sweep(spec()).result
-        assert (tmp_path / "sweep_state.json").exists()
-        assert (tmp_path / "snn_model.npz").exists()
+        assert (tmp_path / "seed-0" / "sweep_state.json").exists()
+        assert (tmp_path / "seed-0" / "snn_model.npz").exists()
         second = run_sweep(spec()).result
         for name in first.curves:
             assert first.accuracies(name) == second.accuracies(name)
@@ -239,7 +240,7 @@ class TestComparisonIntegration:
         result = synthetic_result(
             {"SNN": (0.8, 0.6), "CNN": (0.8, 0.7), "GNN": (0.8, 0.2)}
         )
-        updated = attach_to_comparison(comparison, result)
+        updated = attach_row(comparison, ROBUSTNESS_AXIS, robustness_scores(result))
         assert len(updated.axes) == n_axes_before + 1
         assert updated.axes[-1].key == "robustness"
         assert "robustness" in updated.ratings

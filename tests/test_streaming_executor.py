@@ -9,6 +9,7 @@ from repro.core import (
     OVERLOAD_AXIS,
     PipelineMetrics,
     SNNPipeline,
+    attach_row,
 )
 from repro.datasets import make_gestures_dataset
 from repro.events import EVENT_DTYPE, EventStream, Resolution
@@ -20,7 +21,6 @@ from repro.streaming import (
     ShedPolicy,
     StreamingExecutor,
     TransientOutage,
-    attach_to_comparison,
     calibrate_service,
     degradation_violations,
     make_bursty_stream,
@@ -293,12 +293,12 @@ class TestStreamingSweep:
         comparison = ComparisonResult(
             metrics={p: PipelineMetrics(paradigm=p) for p in ("SNN", "CNN", "GNN")}
         )
-        attach_to_comparison(comparison, result)
+        attach_row(comparison, OVERLOAD_AXIS, overload_scores(result))
         assert OVERLOAD_AXIS in comparison.extra_axes
         assert set(comparison.ratings["overload"]) == {"SNN", "CNN", "GNN"}
         assert np.isfinite(comparison.metrics["SNN"].overload)
         # Attaching twice must not duplicate the row.
-        attach_to_comparison(comparison, result)
+        attach_row(comparison, OVERLOAD_AXIS, overload_scores(result))
         assert comparison.extra_axes.count(OVERLOAD_AXIS) == 1
 
     def test_degradation_violations_flags_rising_curve(self):
