@@ -23,7 +23,7 @@ and each has a ``channels`` helper so models can be sized automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -196,7 +196,7 @@ class FrameRepresentation:
 
     name: str
     channels: int
-    fn: Callable[[EventStream], np.ndarray]
+    fn: Callable[[EventStream], np.ndarray] = field(repr=False)
     preserves_timing: bool
 
     def __call__(self, stream: EventStream) -> np.ndarray:

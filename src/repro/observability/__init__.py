@@ -28,7 +28,6 @@ from typing import Any, Callable
 
 from .export import (
     SNAPSHOT_SCHEMA,
-    label_snapshot,
     to_json,
     to_prometheus,
     validate_snapshot,
@@ -54,7 +53,6 @@ __all__ = [
     "Tracer",
     "wall_clock_us",
     "SNAPSHOT_SCHEMA",
-    "label_snapshot",
     "to_json",
     "to_prometheus",
     "validate_snapshot",

@@ -23,7 +23,6 @@ from .metrics import MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "label_snapshot",
     "to_json",
     "to_prometheus",
     "validate_snapshot",
@@ -101,71 +100,6 @@ def to_prometheus(snapshot: Mapping[str, Any], registry: MetricsRegistry | None 
                     f"{name}{_label_str(labels)} {_format_value(series['value'])}"
                 )
     return "\n".join(lines) + "\n"
-
-
-def label_snapshot(
-    snapshot: Mapping[str, Any],
-    labels: Mapping[str, str],
-    root: str | None = None,
-) -> dict[str, Any]:
-    """A relabeled copy of a snapshot, for multi-run aggregation.
-
-    Adds ``labels`` to every metric series (so e.g. a per-tenant run's
-    ``stream_*`` series become distinguishable inside a fleet-wide
-    snapshot) and optionally nests the whole trace under a new ``root``
-    span spanning its children.  The input is not modified.  Relabeled
-    snapshots with distinct label values never collide, which makes
-    :func:`repro.parallel.merge.merge_snapshots` a pure concatenation
-    over them.
-
-    Args:
-        snapshot: a full instrumentation snapshot.
-        labels: label keys/values stamped onto every series.  A key
-            already present on a series is a wiring error (the caller
-            is double-labelling) and raises :class:`ValueError`.
-        root: optional name of a synthetic root span wrapping the trace.
-
-    Returns:
-        A new snapshot dict sharing no mutable structure with the input
-        where labels or trace were rewritten.
-    """
-    labels = dict(labels)
-    metrics_in = snapshot.get("metrics", {})
-    metrics_out: dict[str, Any] = {}
-    for kind in ("counters", "gauges", "histograms"):
-        section = []
-        for series in metrics_in.get(kind, ()):
-            existing = dict(series.get("labels", {}))
-            clash = set(existing) & set(labels)
-            if clash:
-                raise ValueError(
-                    f"series {series.get('name')!r} already carries "
-                    f"label(s) {sorted(clash)}"
-                )
-            relabeled = dict(series)
-            relabeled["labels"] = {**existing, **labels}
-            section.append(relabeled)
-        metrics_out[kind] = section
-    trace = list(snapshot.get("trace", ()))
-    if root is not None:
-        starts = [s["start_us"] for s in trace if isinstance(s, dict)]
-        ends = [
-            s["start_us"] + s["duration_us"] for s in trace if isinstance(s, dict)
-        ]
-        start = min(starts) if starts else 0.0
-        trace = [
-            {
-                "name": root,
-                "start_us": start,
-                "duration_us": (max(ends) - start) if ends else 0.0,
-                "children": trace,
-            }
-        ]
-    return {
-        "schema": snapshot.get("schema", SNAPSHOT_SCHEMA),
-        "metrics": metrics_out,
-        "trace": trace,
-    }
 
 
 def _check_series(series: Any, kind: str, problems: list[str]) -> None:

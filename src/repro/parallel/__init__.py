@@ -5,9 +5,9 @@ parallel (paradigm × condition × recording).  This package runs all
 three behind one API:
 
 * :mod:`~repro.parallel.sharding` — deterministic work-shard planning
-  (the plan depends only on the grid, never on the worker count),
-  per-shard seed derivation via :func:`derive_seed`, and two backends:
-  serial (the reference) and a persistent forked process pool;
+  (the plan depends only on the grid, never on the worker count) and
+  two backends: serial (the reference) and a persistent forked process
+  pool;
 * :mod:`~repro.parallel.merge` — a deterministic fold of per-shard
   metrics, reports and observability snapshots into one reconciled
   result that passes ``validate_snapshot`` and the shard-count
@@ -30,8 +30,6 @@ from .sharding import (
     Cell,
     ParallelConfig,
     Shard,
-    balance_assignments,
-    derive_seed,
     plan_shards,
     run_shards,
 )
@@ -44,8 +42,6 @@ __all__ = [
     "Cell",
     "Shard",
     "plan_shards",
-    "balance_assignments",
-    "derive_seed",
     "run_shards",
     "DeterministicClock",
     "merge_metrics",

@@ -24,12 +24,15 @@ loop the comparison results are checked against.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from ..core.comparison import PARADIGMS, assemble_comparison, measure_paradigm
 from ..core.presets import default_configs, make_pipeline
@@ -60,49 +63,100 @@ _OPTIONS = {
 }
 
 
-def _write_state(state_path: Path, done: Mapping[str, Any]) -> None:
+def _write_state(state_path: Path, digest: str, done: Mapping[str, Any]) -> None:
     """Atomically persist sweep resume state (tmp file + rename).
 
-    A crash mid-write leaves the previous checkpoint intact instead of
-    a truncated JSON file that a resume would then have to discard.
+    The points are stored with the :func:`_spec_digest` of the spec that
+    produced them.  A crash mid-write leaves the previous checkpoint
+    intact instead of a truncated JSON file that a resume would then
+    have to discard.
     """
     state_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = state_path.with_name(f"{state_path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(done))
+        tmp.write_text(json.dumps({"digest": digest, "points": done}))
         os.replace(tmp, state_path)
     except OSError:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _load_state(state_path: Path | None) -> dict[str, dict[str, Any]]:
-    """Resume state from disk; unreadable files mean "no checkpoint".
+def _load_state(state_path: Path, digest: str) -> dict[str, dict[str, Any]] | None:
+    """Finished points of an earlier run of the same spec, or None.
 
-    A corrupt or truncated state file (killed writer, bad disk) is
-    logged and treated as an empty checkpoint — those points are
-    simply redone — never surfaced as a ``JSONDecodeError``.
+    None means nothing in the directory can be trusted: no state file,
+    an unreadable or malformed one (killed writer, bad disk), or one
+    written for a different spec.  The caller then redoes every point
+    and refits every model.  All but the first case are logged; none is
+    surfaced as a ``JSONDecodeError``.
     """
-    if state_path is None or not state_path.exists():
-        return {}
+    if not state_path.exists():
+        return None
     try:
-        done = json.loads(state_path.read_text())
+        state = json.loads(state_path.read_text())
     except (ValueError, OSError) as exc:
-        logger.warning(
-            "ignoring unreadable sweep state %s (%s); redoing those points",
-            state_path,
-            exc,
-        )
-        return {}
-    if not isinstance(done, dict):
-        logger.warning(
-            "ignoring malformed sweep state %s (expected an object, got %s); "
-            "redoing those points",
-            state_path,
-            type(done).__name__,
-        )
-        return {}
-    return done
+        problem = f"unreadable: {exc}"
+    else:
+        if not isinstance(state, dict) or not isinstance(state.get("points"), dict):
+            problem = "malformed"
+        elif state.get("digest") != digest:
+            problem = "written for a different spec"
+        else:
+            return state["points"]
+    logger.warning(
+        "ignoring sweep state %s (%s); redoing its points and refitting "
+        "its models",
+        state_path,
+        problem,
+    )
+    return None
+
+
+def _factory_repr(factory: Any) -> str:
+    """A description of a pipeline factory that is stable across runs.
+
+    Configs are dataclasses and describe themselves; a pipeline
+    instance's default repr carries its address, so it is described by
+    its class and its public settings instead.
+    """
+    if not hasattr(factory, "fit"):
+        return repr(factory)
+    settings = sorted(
+        (key, value)
+        for key, value in vars(factory).items()
+        if not key.startswith("_") and key != "model"
+    )
+    return f"{type(factory).__name__}{settings!r}"
+
+
+def _spec_digest(
+    factories: Mapping[str, Any],
+    train: Any,
+    test: Any,
+    severities: Sequence[float],
+    fault_profile: Any,
+) -> str:
+    """SHA-256 over what a robustness sweep's points and models depend on.
+
+    The pipeline factories, the fault model of every severity and the
+    train/test events and labels (the seed already selects the state
+    directory).
+    """
+    digest = hashlib.sha256()
+    for name in PARADIGMS:
+        digest.update(f"{name}={_factory_repr(factories[name])}\0".encode())
+    for severity in severities:
+        digest.update(f"{severity!r}={fault_profile(severity)!r}\0".encode())
+    for dataset in (train, test):
+        digest.update(f"dataset of {len(dataset)}\0".encode())
+        for sample in dataset:
+            stream = sample.stream
+            digest.update(
+                f"{sample.label} {stream.resolution!r} {len(stream)}\0".encode()
+            )
+            for column in (stream.t, stream.x, stream.y, stream.p):
+                digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -129,7 +183,9 @@ class SweepSpec:
         seed: master seed of the sweep.
         options: kind-specific extras — robustness:
             ``fault_profile``, ``checkpoint_dir`` (resume state and
-            models go to its ``seed-{seed}`` subdirectory),
+            models go to its ``seed-{seed}`` subdirectory, and are
+            reused only by a spec with the same pipelines, fault
+            profile and data),
             ``max_retries``, ``stage_timeout_s``; streaming: ``fallbacks``,
             ``service_models``, ``shed_policy``, ``breaker_policy``,
             ``queue_capacity``; comparison takes none.  Any other key
@@ -281,7 +337,7 @@ def _robustness_shard(task: dict[str, Any]) -> dict[str, Any]:
         fresh[key] = point.to_dict()
         if state_path is not None:
             done[key] = fresh[key]
-            _write_state(state_path, done)
+            _write_state(state_path, task["digest"], done)
 
     points = run_paradigm_curve(
         name,
@@ -417,7 +473,11 @@ def _run_comparison(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
 
 
 def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
-    from ..reliability.sweep import RobustnessSweepResult, default_fault_profile
+    from ..reliability.sweep import (
+        RobustnessSweepResult,
+        default_fault_profile,
+        _model_path,
+    )
 
     backend = parallel.resolve()
     severities = tuple(float(s) for s in spec.conditions)
@@ -430,6 +490,7 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
     )
 
     options = spec.options
+    fault_profile = options.get("fault_profile", default_fault_profile)
     checkpoint_dir = options.get("checkpoint_dir")
     # Points and models depend on the seed, so each seed resumes from
     # its own subdirectory and never picks up another seed's state.
@@ -437,7 +498,20 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         Path(checkpoint_dir) / f"seed-{spec.seed}" if checkpoint_dir else None
     )
     state_path = checkpoint_dir / "sweep_state.json" if checkpoint_dir else None
-    done = _load_state(state_path)
+    digest = done = None
+    if state_path is not None:
+        digest = _spec_digest(
+            factories, spec.train, spec.test, severities, fault_profile
+        )
+        done = _load_state(state_path, digest)
+        if done is None:
+            # Models left here were fitted for another (or an unknown)
+            # spec: drop them so the shards refit, and claim the
+            # directory for this spec before any new model lands in it.
+            for name in PARADIGMS:
+                _model_path(checkpoint_dir, name).unlink(missing_ok=True)
+            done = {}
+            _write_state(state_path, digest, done)
 
     shards = plan_shards(PARADIGMS, severities, group_by="paradigm")
     shared = {
@@ -447,7 +521,7 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         "train": spec.train,
         "test": spec.test,
         "seed": spec.seed,
-        "fault_profile": options.get("fault_profile", default_fault_profile),
+        "fault_profile": fault_profile,
         "checkpoint_dir": checkpoint_dir,
         "max_retries": options.get("max_retries", 1),
         "stage_timeout_s": options.get("stage_timeout_s"),
@@ -455,6 +529,7 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         # return their fresh points and the coordinator persists
         # atomically below.
         "state_path": state_path if backend == "serial" else None,
+        "digest": digest,
         "done": done,
     }
     tasks = [{"shard": shard} for shard in shards]
@@ -466,7 +541,7 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
     if state_path is not None and any(out["fresh"] for out in outs):
         for out in outs:
             done.update(out["fresh"])
-        _write_state(state_path, done)
+        _write_state(state_path, digest, done)
     return SweepResult(
         kind="robustness",
         result=result,

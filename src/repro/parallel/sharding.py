@@ -10,8 +10,9 @@ serial ones:
   always produces the same shards in the same order, whether they run
   on one process or eight;
 * **per-shard seeding** — every randomised quantity inside a shard is
-  derived from the master seed and the cell's grid position
-  (:func:`derive_seed`), never from execution order or wall time.
+  seeded from the spec (its master seed or pipeline configs) and the
+  cell's own paradigm and condition, never from execution order or
+  wall time.
 
 Backends: ``"serial"`` runs shards in-process in plan order (the
 reference every other backend must match byte for byte);
@@ -41,14 +42,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 __all__ = [
     "Cell",
     "Shard",
     "ParallelConfig",
-    "balance_assignments",
-    "derive_seed",
     "plan_shards",
     "run_shards",
     "shutdown_pools",
@@ -120,20 +117,6 @@ class ParallelConfig:
         return "process"
 
 
-def derive_seed(*path: int) -> int:
-    """Deterministic seed for one grid position.
-
-    Spawns a :class:`numpy.random.SeedSequence` from the integer path
-    (master seed, paradigm index, condition index, ...) — collision-
-    resistant and independent of execution order, so a cell's seed is
-    the same whether its shard runs first, last, serial or parallel.
-    """
-    if not path:
-        raise ValueError("derive_seed needs at least one path component")
-    sequence = np.random.SeedSequence([int(p) for p in path])
-    return int(sequence.generate_state(1)[0])
-
-
 def plan_shards(
     paradigms: Sequence[str],
     conditions: Sequence[Any] = (),
@@ -143,8 +126,8 @@ def plan_shards(
 
     The plan is a pure function of the grid — never of the worker
     count — which is the invariant behind serial/parallel
-    byte-identity: per-shard state (caches, instrumentation, seeds)
-    is identical no matter how many workers drain the plan.
+    byte-identity: per-shard state (instrumentation, seeds) is
+    identical no matter how many workers drain the plan.
 
     Args:
         paradigms: grid rows, in canonical order.
@@ -176,47 +159,6 @@ def plan_shards(
         row = tuple(c for c in cells if c.paradigm == name)
         shards.append(Shard(len(shards), row))
     return tuple(shards)
-
-
-def balance_assignments(
-    weights: Sequence[tuple[str, float]], n_shards: int
-) -> dict[str, int]:
-    """Deterministic weight-balanced placement of items onto shards.
-
-    Longest-processing-time greedy: items are considered heaviest first
-    (ties broken by item id, then original order) and each goes to the
-    currently lightest shard (ties broken by lowest shard index).  The
-    result is a pure function of ``(weights, n_shards)`` — placement
-    never depends on execution order, which is what lets callers treat
-    the shard count as a pure computation partition.
-
-    Args:
-        weights: ``(item_id, weight)`` pairs; ids must be unique and
-            weights non-negative.
-        n_shards: number of shards (>= 1).
-
-    Returns:
-        item id → shard index in ``[0, n_shards)``.
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    ids = [item_id for item_id, _ in weights]
-    if len(set(ids)) != len(ids):
-        raise ValueError("item ids must be unique")
-    for item_id, weight in weights:
-        if weight < 0:
-            raise ValueError(f"negative weight for {item_id!r}")
-    order = sorted(
-        range(len(weights)), key=lambda i: (-weights[i][1], weights[i][0], i)
-    )
-    loads = [0.0] * n_shards
-    assignment: dict[str, int] = {}
-    for i in order:
-        item_id, weight = weights[i]
-        shard = min(range(n_shards), key=lambda s: (loads[s], s))
-        assignment[item_id] = shard
-        loads[shard] += weight
-    return assignment
 
 
 def _fork_context() -> multiprocessing.context.BaseContext | None:

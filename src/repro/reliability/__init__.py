@@ -9,8 +9,8 @@ infrastructure so that measurement can run unattended:
   (uniform and bursty drops, AER bit flips) and the clock (jitter,
   out-of-order delivery);
 * :mod:`~repro.reliability.runner` — a hardened wrapper around the
-  paradigm pipelines with per-recording validation + quarantine, retry
-  with backoff, wall-clock stage timeouts and model checkpointing;
+  paradigm pipelines with per-recording validation + quarantine,
+  immediate retry, wall-clock stage timeouts and model checkpointing;
 * :mod:`~repro.reliability.sweep` — the robustness sweep producing
   accuracy-degradation curves and the retained-accuracy scores that
   regenerate the Table-I robustness cell;
@@ -22,7 +22,6 @@ infrastructure so that measurement can run unattended:
   resilience cell).
 """
 
-from .backoff import ExponentialBackoff
 from .faults import (
     AERBitFlips,
     BurstyDrop,
@@ -68,7 +67,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "ExponentialBackoff",
     "FaultModel",
     "FaultChain",
     "DeadPixels",

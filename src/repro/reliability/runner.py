@@ -10,8 +10,8 @@ severities.  :class:`HardenedRunner` wraps ``fit`` / ``predict`` /
   against the :data:`~repro.events.stream.EVENT_DTYPE` invariants before
   it reaches the model; corrupted ones are quarantined with a reason
   instead of crashing the run;
-* **retry with backoff** — transient stage failures are retried a
-  configurable number of times with exponential backoff;
+* **retry** — transient stage failures are retried immediately, a
+  configurable number of times;
 * **wall-clock stage timeouts** — a hung stage is abandoned (the worker
   thread is left to finish in the background) and recorded as a timeout;
 * **skip-and-record semantics** — every recording produces a
@@ -39,7 +39,6 @@ from ..events.stream import EventStream
 from ..nn.layers import Module
 from ..nn.serialization import load_state, save_state
 from ..observability import Instrumentation
-from .backoff import ExponentialBackoff
 from .faults import FaultModel, apply_fault
 
 __all__ = [
@@ -210,26 +209,18 @@ class _StageTimeout(Exception):
 
 
 class StageGuard:
-    """Retry + backoff + wall-clock-timeout wrapper for one stage call.
+    """Retry + wall-clock-timeout wrapper for one stage call.
 
-    The guarded-execution core shared by :class:`HardenedRunner` (batch
-    sweeps) and :class:`repro.streaming.StreamingExecutor` (live
-    windows): run a callable, retrying transient failures with
-    exponential backoff, abandoning calls that exceed a wall-clock
-    budget, and always returning a structured :class:`StageResult`
-    instead of raising — except for :class:`NotFittedError`, which is a
-    configuration error no retry can fix and is re-raised so callers
-    fail fast.
+    The guarded-execution core of :class:`HardenedRunner`: run a
+    callable, retrying transient failures back to back, abandoning calls
+    that exceed a wall-clock budget, and always returning a structured
+    :class:`StageResult` instead of raising — except for
+    :class:`NotFittedError`, which is a configuration error no retry can
+    fix and is re-raised so callers fail fast.
 
     Args:
         max_retries: extra attempts after a failed call (0 = fail
             immediately on first error).
-        backoff_s: base sleep before retry ``k`` (scaled by ``2**k``
-            through a shared :class:`ExponentialBackoff` schedule);
-            0 retries immediately.
-        backoff: optional explicit :class:`ExponentialBackoff` schedule;
-            overrides ``backoff_s`` when given (``backoff_s`` then
-            reports the schedule's base delay).
         timeout_s: wall-clock budget per call (None = no timeout).  A
             timed-out call keeps running on its daemon worker thread but
             its result is discarded — skip-and-record, never hang.
@@ -249,30 +240,18 @@ class StageGuard:
         self,
         *,
         max_retries: int = 1,
-        backoff_s: float = 0.0,
-        backoff: ExponentialBackoff | None = None,
         timeout_s: float | None = None,
         instrumentation: Instrumentation | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.max_retries = max_retries
-        self.backoff = (
-            backoff if backoff is not None else ExponentialBackoff(base_s=backoff_s)
-        )
         self.timeout_s = timeout_s
         self.instrumentation = instrumentation
         self.clock = clock if clock is not None else time.monotonic
-
-    @property
-    def backoff_s(self) -> float:
-        """Base delay of the retry schedule (back-compat accessor)."""
-        return self.backoff.base_s
 
     def _call_with_timeout(self, fn: Callable[[], Any]) -> Any:
         """Run ``fn``, enforcing the wall-clock timeout.
@@ -304,7 +283,7 @@ class StageGuard:
         return result[0]
 
     def run(self, name: str, fn: Callable[[], Any]) -> StageResult:
-        """Run a stage with retry + backoff + timeout, never raising.
+        """Run a stage with retry + timeout, never raising.
 
         :class:`NotFittedError` is not retried — an unfitted pipeline is
         a configuration error no retry can fix — and is re-raised so the
@@ -355,7 +334,7 @@ class StageGuard:
             obs.stage_end(name, ok=result is not None and result.ok)
 
     def _execute(self, name: str, fn: Callable[[], Any]) -> StageResult:
-        """The uninstrumented retry/backoff/timeout loop."""
+        """The uninstrumented retry/timeout loop."""
         attempts = 0
         start = self.clock()
         last_exc: BaseException | None = None
@@ -384,8 +363,6 @@ class StageGuard:
                 )
             except Exception as exc:
                 last_exc = exc
-                if attempts <= self.max_retries:
-                    self.backoff.sleep(attempts)
         return StageResult(
             name=name,
             ok=False,
@@ -403,8 +380,6 @@ class HardenedRunner:
         pipeline: the pipeline to protect.
         max_retries: extra attempts after a failed stage call (0 = fail
             immediately on first error).
-        backoff_s: base sleep before retry ``k`` (scaled by ``2**k``);
-            0 retries immediately.
         stage_timeout_s: wall-clock budget per stage call (None = no
             timeout).  A timed-out stage keeps running on its worker
             thread but its result is discarded and the stage recorded as
@@ -427,8 +402,6 @@ class HardenedRunner:
         pipeline: ParadigmPipeline,
         *,
         max_retries: int = 1,
-        backoff_s: float = 0.0,
-        backoff: ExponentialBackoff | None = None,
         stage_timeout_s: float | None = None,
         checkpoint_path: str | Path | None = None,
         instrumentation: Instrumentation | None = None,
@@ -436,8 +409,6 @@ class HardenedRunner:
     ) -> None:
         self._guard = StageGuard(
             max_retries=max_retries,
-            backoff_s=backoff_s,
-            backoff=backoff,
             timeout_s=stage_timeout_s,
             instrumentation=instrumentation,
             clock=clock,
@@ -455,11 +426,6 @@ class HardenedRunner:
     def max_retries(self) -> int:
         """Per-stage retry budget."""
         return self._guard.max_retries
-
-    @property
-    def backoff_s(self) -> float:
-        """Base backoff before retries."""
-        return self._guard.backoff_s
 
     @property
     def stage_timeout_s(self) -> float | None:

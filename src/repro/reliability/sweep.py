@@ -186,6 +186,11 @@ def _point_key(paradigm: str, severity: float) -> str:
     return f"{paradigm}@{severity:.6f}"
 
 
+def _model_path(checkpoint_dir: Path, name: str) -> Path:
+    """Where :func:`run_paradigm_curve` checkpoints paradigm ``name``."""
+    return checkpoint_dir / f"{name.lower()}_model.npz"
+
+
 def run_paradigm_curve(
     name: str,
     pipeline: ParadigmPipeline,
@@ -244,7 +249,7 @@ def run_paradigm_curve(
         max_retries=max_retries,
         stage_timeout_s=stage_timeout_s,
         checkpoint_path=(
-            checkpoint_dir / f"{name.lower()}_model.npz" if checkpoint_dir else None
+            _model_path(checkpoint_dir, name) if checkpoint_dir else None
         ),
         instrumentation=instrumentation,
         clock=clock,

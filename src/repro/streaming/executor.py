@@ -703,7 +703,6 @@ class StreamingExecutor:
             latency = self._clock - ticket.arrival_us
             self._latency.observe(latency)
             report.latencies_us.append(latency)
-            report.window_latencies[ticket.index] = latency
             report.predictions[ticket.index] = value
             obs.window(ticket.index, "processed")
 

@@ -95,9 +95,6 @@ class StreamReport:
             :class:`~repro.streaming.shedding.TierTransition`).
         latencies_us: arrival→completion virtual latency per processed
             window.
-        window_latencies: window index → virtual latency (the same
-            samples as ``latencies_us``, keyed by window so per-tenant
-            SLO attribution can pick out individual windows).
         predictions: window index → delivered prediction.
         max_queue_depth: deepest the ingest queue got.
         duration_us: virtual time span of the run.
@@ -132,7 +129,6 @@ class StreamReport:
     breaker_states: dict[str, str] = field(default_factory=dict)
     tier_transitions: list[dict] = field(default_factory=list)
     latencies_us: list[float] = field(default_factory=list)
-    window_latencies: dict[int, float] = field(default_factory=dict)
     predictions: dict[int, Any] = field(default_factory=dict)
     max_queue_depth: int = 0
     duration_us: float = 0.0
@@ -272,8 +268,8 @@ class StreamReport:
 def validate_report(report: StreamReport, context: str = "") -> list[str]:
     """Check a report's balanced-accounting invariants, returning problems.
 
-    The single entry point every sweep tool and serving ledger calls
-    instead of re-asserting the identities ad hoc: window partition
+    The single entry point every sweep and sweep tool calls instead of
+    re-asserting the identities ad hoc: window partition
     (``processed + expired + shed_windows + failed == offered``), event
     partition (including the shed ledger), the ``served_by`` breakdown,
     plus basic sanity (no negative counters, one latency sample per
@@ -281,8 +277,9 @@ def validate_report(report: StreamReport, context: str = "") -> list[str]:
 
     Args:
         report: the report to validate.
-        context: optional prefix (e.g. a tenant id) attached to every
-            problem string, so fleet-level validation stays attributable.
+        context: optional prefix (e.g. a paradigm and load factor)
+            attached to every problem string, so sweep-level validation
+            stays attributable.
 
     Returns:
         Problem descriptions; empty when the report balances.
@@ -311,11 +308,6 @@ def validate_report(report: StreamReport, context: str = "") -> list[str]:
         problems.append(
             f"predictions {len(report.predictions)} != "
             f"processed {report.processed}"
-        )
-    if len(report.window_latencies) != len(report.latencies_us):
-        problems.append(
-            f"window_latencies {len(report.window_latencies)} != "
-            f"latency samples {len(report.latencies_us)}"
         )
     if context:
         problems = [f"{context}: {p}" for p in problems]

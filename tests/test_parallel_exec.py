@@ -1,9 +1,9 @@
 """Tests for shard planning, execution and merging (repro.parallel).
 
-Covers the worker-count-independent shard plan, deterministic seed
-derivation, the virtual clock, the metric/snapshot merge rules
-(counters sum, gauges max, histograms bucket-checked), shard-count
-reconciliation, and serial/process equivalence of the executor.
+Covers the worker-count-independent shard plan, the virtual clock,
+the metric/snapshot merge rules (counters sum, gauges max, histograms
+bucket-checked), shard-count reconciliation, and serial/process
+equivalence of the executor.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.parallel import (
     DeterministicClock,
     ParallelConfig,
     Shard,
-    derive_seed,
     merge_metrics,
     merge_snapshots,
     plan_shards,
@@ -54,17 +53,6 @@ class TestPlanShards:
         import inspect
 
         assert "n_workers" not in inspect.signature(plan_shards).parameters
-
-
-class TestDeriveSeed:
-    def test_deterministic_and_distinct(self):
-        assert derive_seed(0, 1, 2) == derive_seed(0, 1, 2)
-        assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
-        assert derive_seed(7) != derive_seed(8)
-
-    def test_requires_a_path(self):
-        with pytest.raises(ValueError):
-            derive_seed()
 
 
 class TestParallelConfig:

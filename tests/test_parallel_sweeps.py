@@ -28,6 +28,7 @@ from repro.datasets import make_shapes_dataset, train_test_split
 from repro.events import Resolution
 from repro.observability import Instrumentation, to_json
 from repro.parallel import ParallelConfig, SweepSpec, reconcile_shards, run_sweep
+from repro.reliability import UniformDrop
 from repro.streaming.sweep import make_bursty_stream
 
 WORKER_COUNTS = (1, 2, 4)
@@ -207,6 +208,10 @@ class TestStreamingBitIdentity:
             assert to_json(streaming_runs[n].snapshot) == reference
 
 
+def _drop_only_profile(severity):
+    return UniformDrop(probability=0.5 * severity) if severity else None
+
+
 class TestResumeCrashSafety:
     def _spec(self, split, configs, checkpoint_dir):
         train, test = split
@@ -229,8 +234,8 @@ class TestResumeCrashSafety:
         # Simulate a writer killed mid-write: a truncated JSON document.
         state.write_text(payload[: len(payload) // 2])
         second = run_sweep(self._spec(split, configs, tmp_path))  # must not raise
-        # Model checkpoints still resume (from_checkpoint flips), but the
-        # measured curves are unchanged.
+        # The models cannot be trusted without the state, so they are
+        # refitted; the measured curves are unchanged.
         for name in first.result.curves:
             assert first.result.accuracies(name) == second.result.accuracies(name)
         # State writes are tmp+rename; no stray temp files may survive.
@@ -247,6 +252,51 @@ class TestResumeCrashSafety:
         run_sweep(self._spec(split, configs, tmp_path))  # seed 0
         other = dataclasses.replace(self._spec(split, configs, tmp_path), seed=1)
         fresh = dataclasses.replace(other, options={})
+        assert _curve_bytes(run_sweep(other).result) == _curve_bytes(
+            run_sweep(fresh).result
+        )
+
+    def test_same_spec_resumes_every_point_and_model(
+        self, split, configs, tmp_path
+    ):
+        first = run_sweep(self._spec(split, configs, tmp_path))
+        obs = Instrumentation()
+        resumed = run_sweep(
+            dataclasses.replace(
+                self._spec(split, configs, tmp_path), instrumentation=obs
+            )
+        )
+        assert _curve_bytes(resumed.result) == _curve_bytes(first.result)
+        assert obs.registry.counter_total("runner_records_total") == 0
+        assert obs.registry.counter_total("guard_calls_total") == 0
+
+    @pytest.mark.parametrize("keep_state", [True, False], ids=["state", "no-state"])
+    @pytest.mark.parametrize("change", ["pipelines", "fault_profile", "data"])
+    def test_resume_after_different_spec_equals_fresh_run(
+        self, split, configs, tmp_path, change, keep_state
+    ):
+        """Points and models of another spec are redone, not restored.
+
+        Without the state file only the fitted models are left behind,
+        and those must be refitted too.
+        """
+        run_sweep(self._spec(split, configs, tmp_path))
+        if not keep_state:
+            (tmp_path / "seed-0" / "sweep_state.json").unlink()
+        other = self._spec(split, configs, tmp_path)
+        if change == "pipelines":
+            other.pipelines = {
+                name: dataclasses.replace(config, epochs=config.epochs + 4)
+                for name, config in configs.items()
+            }
+        elif change == "fault_profile":
+            other.options["fault_profile"] = _drop_only_profile
+        else:
+            other.test = other.test.subset(range(len(other.test) - 1))
+        fresh = dataclasses.replace(
+            other,
+            options={k: v for k, v in other.options.items() if k != "checkpoint_dir"},
+        )
         assert _curve_bytes(run_sweep(other).result) == _curve_bytes(
             run_sweep(fresh).result
         )

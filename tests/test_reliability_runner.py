@@ -168,6 +168,17 @@ class TestRetryAndTimeout:
         assert report.records[0].outcome is RecordingOutcome.OK
         assert report.records[0].attempts == 2
 
+    def test_retry_runs_back_to_back(self, shapes_split, monkeypatch):
+        _, test = shapes_split
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        runner = HardenedRunner(StubPipeline(fail_first=1), max_retries=1)
+        runner.fit(test)
+        report = runner.evaluate(test.subset([0]))
+        assert report.records[0].outcome is RecordingOutcome.OK
+        assert report.records[0].attempts == 2
+        assert sleeps == []
+
     def test_persistent_failure_recorded(self, shapes_split):
         _, test = shapes_split
         runner = HardenedRunner(StubPipeline(fail_first=10**9), max_retries=1)
@@ -194,8 +205,6 @@ class TestRetryAndTimeout:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             HardenedRunner(StubPipeline(), max_retries=-1)
-        with pytest.raises(ValueError):
-            HardenedRunner(StubPipeline(), backoff_s=-0.1)
         with pytest.raises(ValueError):
             HardenedRunner(StubPipeline(), stage_timeout_s=0)
 

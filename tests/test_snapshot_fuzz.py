@@ -1,13 +1,11 @@
 """Fuzzed checkpoint round-trip and rejection tests.
 
-Three snapshot/restore contracts guard serving state:
+Two snapshot/restore contracts guard serving state:
 
 * ``async-gnn/v1`` — :class:`repro.gnn.AsyncEventGNN` engine
   checkpoints;
 * ``incremental-session/v1`` — :class:`repro.core.GNNIncrementalSession`
-  session checkpoints (wrapping the engine's);
-* ``serving-model/v1`` — :class:`repro.serving.TenantModel` stand-in
-  session state.
+  session checkpoints (wrapping the engine's).
 
 Each must (a) round-trip losslessly, (b) reject unknown or missing
 format tags with a ``ValueError`` that *names the expected version*,
@@ -24,8 +22,6 @@ from repro.core.incremental import SESSION_SNAPSHOT_FORMAT
 from repro.events import EventStream, Resolution
 from repro.gnn import AsyncEventGNN, EventGNNClassifier
 from repro.gnn.async_network import SNAPSHOT_FORMAT
-from repro.serving import TenantModel
-from repro.serving.chaos import MODEL_SNAPSHOT_FORMAT
 
 RES = Resolution(24, 24)
 
@@ -74,9 +70,6 @@ def warmed_session():
 CASES = [
     pytest.param(warmed_engine, SNAPSHOT_FORMAT, id="async-gnn"),
     pytest.param(warmed_session, SESSION_SNAPSHOT_FORMAT, id="session"),
-    pytest.param(
-        lambda: TenantModel("GNN", seed=4), MODEL_SNAPSHOT_FORMAT, id="serving-model"
-    ),
 ]
 
 
@@ -183,21 +176,3 @@ class TestEngineRoundTripEquivalence:
         with pytest.raises(ValueError, match="running_max"):
             engine.restore(snap)
 
-
-class TestTenantModelRoundTrip:
-    def test_corrupt_then_restore_heals_the_output(self):
-        model = TenantModel("GNN", seed=9)
-        stream = make_stream(20, seed=6)
-        clean_snapshot = model.snapshot()
-        healthy = model(stream)
-        model._x2[:] = np.nan
-        assert np.isnan(model(stream))
-        model.restore(clean_snapshot)
-        assert model(stream) == healthy
-
-    def test_inconsistent_shapes_rejected(self):
-        model = TenantModel("GNN", seed=9)
-        snap = model.snapshot()
-        snap["running_max"] = np.zeros(snap["x2"].shape[1] + 1)
-        with pytest.raises(ValueError, match="inconsistent"):
-            model.restore(snap)

@@ -161,6 +161,41 @@ class TestStreamingExecutor:
         assert report.failed == 0
         assert report.accounting_errors() == []
 
+    def test_outage_trips_probes_and_recloses(self):
+        """A finite outage opens the primary's breaker, windows flow on
+        the fallback, and after probation the primary serves again."""
+        outage = TransientOutage(
+            count_mod, fail_from_call=5, fail_calls=3, mode="nan"
+        )
+        ex = StreamingExecutor(
+            ("primary", outage),
+            window_us=1000,
+            fallbacks=[("backup", count_mod)],
+            service=ServiceModel(5.0, 0.5),
+            breaker_policy=BreakerPolicy(failure_threshold=2, cooldown_calls=3),
+        )
+        report = ex.run(steady_windows(40))
+        states = [
+            (t.stage, t.to_state.value) for t in report.breaker_transitions
+        ]
+        assert ("primary", "open") in states
+        assert ("primary", "half_open") in states  # probation was entered
+        assert ("primary", "closed") in states  # and passed
+        assert report.breaker_states["primary"] == "closed"
+        reclosed_at = max(
+            t.at_window
+            for t in report.breaker_transitions
+            if t.stage == "primary" and t.to_state.value == "closed"
+        )
+        # The fallback carried windows while the primary was open, and
+        # the primary served the four windows before the outage and
+        # every window after it re-closed.
+        assert report.served_by["backup"] > 0
+        assert report.served_by["primary"] >= 4 + (39 - reclosed_at)
+        assert report.processed == 40
+        assert report.failed == 0
+        assert report.accounting_errors() == []
+
     def test_no_last_good_means_failed_windows(self):
         def broken(stream):
             raise RuntimeError("boom")
