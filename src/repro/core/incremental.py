@@ -31,7 +31,9 @@ two resilience mechanisms the engine alone cannot provide:
 The load-bearing property, tested end to end: at any window boundary the
 session's scores are **bit-equal** to the windowed
 :meth:`~repro.core.pipeline.ParadigmPipeline.predict` over the same
-events (both paths run under :class:`~repro.nn.stable_matmul`).
+events (the batch forward runs its matmuls under
+:class:`~repro.nn.stable_matmul`; the per-event engine runs the same
+einsum on plain arrays).
 """
 
 from __future__ import annotations

@@ -48,9 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.layers import Linear
+from ..nn.layers import Linear, ReLU
 from ..nn.serialization import read_checkpoint
-from ..nn.tensor import Tensor, no_grad, stable_matmul
 from .asynchronous import HashInserter, LiveWindow
 from .layers import EdgeConv
 from .models import EventGNNClassifier
@@ -88,58 +87,88 @@ class AsyncStepReport:
     live_nodes: int = 0
 
 
-def _edgeconv_single(
-    conv: EdgeConv,
-    x_self: np.ndarray,
-    x_neigh: np.ndarray,
-    rel_pos: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Evaluate one EdgeConv output for a single destination node.
+def _affine(x: np.ndarray, layer: tuple) -> np.ndarray:
+    """``x @ W^T + b`` for a plan layer ``(weight, bias)``: the ops
+    :func:`~repro.nn.functional.affine` runs under ``stable_matmul``."""
+    weight, bias = layer
+    out = np.einsum("ij,jk->ik", x, weight.data.T)
+    return out if bias is None else out + bias.data
 
-    Args:
-        conv: the layer (max aggregation assumed, as the classifier uses).
-        x_self: ``(F,)`` features of the new node.
-        x_neigh: ``(k, F)`` features of its causal neighbours.
-        rel_pos: ``(k, 3)`` position offsets ``pos_src - pos_dst``.
 
-    Returns:
-        ``(feature_vector, macs)``.
+class _InferencePlan:
+    """The classifier compiled once for per-event inference.
+
+    Holds every ``Linear``'s ``(weight, bias)`` tensors and runs the
+    batch forward's einsum, bias and ReLU ops on plain arrays, so a new
+    node's rows are byte-equal to the batch rows with no ``Tensor`` per
+    event.  ``weight.data.T`` is read at every call: a contiguous copy
+    is not byte-equal (einsum's rounding follows the memory layout), and
+    a live read keeps the plan current through in-place training,
+    ``load_state_dict``, ``deepcopy`` and pickling.  An event with ``k``
+    in-edges and its one head evaluation cost ``node_macs + k *
+    edge_macs + head_macs`` multiply-accumulates.
     """
-    macs = 0
-    # stable_matmul makes the single-row products bit-identical to the
-    # corresponding rows of the batch forward pass (which runs under the
-    # same context) — see EventGNNClassifier.forward.
-    with no_grad(), stable_matmul():
-        out = conv.self_mlp(Tensor(x_self[None, :])).data[0]
-    macs += conv.self_mlp.in_features * conv.self_mlp.out_features
-    k = x_neigh.shape[0]
-    if k:
-        edge_in = np.concatenate(
-            [np.repeat(x_self[None, :], k, axis=0), x_neigh - x_self[None, :], rel_pos],
-            axis=1,
-        )
-        with no_grad(), stable_matmul():
-            messages = conv.mlp(Tensor(edge_in)).data
-        per_edge = sum(
-            layer.in_features * layer.out_features
-            for layer in conv.mlp.layers
-            if isinstance(layer, Linear)
-        )
-        macs += k * per_edge
-        if conv.aggregation == "max":
-            agg = messages.max(axis=0)
-        else:
-            agg = messages.mean(axis=0)
-        out = out + agg
-    return out, macs
+
+    def __init__(self, model: EventGNNClassifier) -> None:
+        self.convs: list[tuple] = []
+        self.node_macs = self.edge_macs = 0
+        for name in ("conv1", "conv2"):
+            conv = getattr(model, name)
+            if not isinstance(conv, EdgeConv):
+                raise TypeError("AsyncEventGNN requires EdgeConv layers (conv='edge')")
+            mlp = conv.mlp.layers
+            if conv.aggregation != "max" or list(map(type, mlp)) != [Linear, ReLU, Linear]:
+                # The batch mean rounds as sum * (1 / count), which a
+                # per-node mean does not reproduce bit for bit.
+                raise ValueError(
+                    f"AsyncEventGNN requires {name} to aggregate by 'max' "
+                    "through a Linear, ReLU, Linear message MLP"
+                )
+            linears = (conv.self_mlp, mlp[0], mlp[2])
+            self.convs.append(tuple((m.weight, m.bias) for m in linears))
+            macs = [m.in_features * m.out_features for m in linears]
+            self.node_macs += macs[0]
+            self.edge_macs += macs[1] + macs[2]
+        self.head_layer = (model.head.weight, model.head.bias)
+        self.head_macs = model.head.in_features * model.head.out_features
+
+    def conv(
+        self, i: int, x_self: np.ndarray, x_neigh: np.ndarray, rel_pos: np.ndarray
+    ) -> np.ndarray:
+        """Pre-activation output of conv ``i`` at the new node, from its
+        features ``(F,)``, its neighbours' ``(k, F)`` and their offsets
+        ``pos_src - pos_dst`` ``(k, 3)``."""
+        self_mlp, hidden, out_layer = self.convs[i]
+        out = _affine(x_self[None, :], self_mlp)[0]
+        k, f = x_neigh.shape
+        if k:
+            edge_in = np.empty((k, 2 * f + 3))
+            edge_in[:, :f] = x_self
+            np.subtract(x_neigh, x_self, out=edge_in[:, f : 2 * f])
+            edge_in[:, 2 * f :] = rel_pos
+            pre = _affine(edge_in, hidden)
+            out = out + _affine(pre * (pre > 0), out_layer).max(axis=0)
+        return out
+
+    def head(self, pooled: np.ndarray) -> np.ndarray:
+        """Class scores ``(C,)`` of pooled features ``(F,)``."""
+        return _affine(pooled[None, :], self.head_layer)[0]
 
 
 class AsyncEventGNN:
     """Streaming, per-event execution of an EdgeConv event-graph classifier.
 
+    Construction compiles the model into an inference plan that holds
+    its parameter tensors, not copies of them.  Events therefore always
+    run on the model's *current* weights.  Node features already held
+    were computed with the weights of their own time, though: after
+    training the model, :meth:`reset` the engine, or the session mixes
+    old and new features and the batch equivalence no longer holds.
+
     Args:
         model: a trained :class:`EventGNNClassifier` built with EdgeConv
-            layers (the default ``conv='edge'``).
+            layers (the default ``conv='edge'``), each aggregating by
+            ``'max'``.
         radius: causal connection radius (scaled units).
         time_scale_us: microseconds per temporal unit.
         window_us: liveness window for the graph.  In bounded mode it
@@ -167,8 +196,7 @@ class AsyncEventGNN:
         include_position: bool = False,
         max_live_nodes: int | None = None,
     ) -> None:
-        if not isinstance(model.conv1, EdgeConv):
-            raise TypeError("AsyncEventGNN requires EdgeConv layers (conv='edge')")
+        self._plan = _InferencePlan(model)
         if include_position and resolution is None:
             raise ValueError("resolution is required when include_position is set")
         if max_live_nodes is not None and max_live_nodes < 1:
@@ -261,10 +289,14 @@ class AsyncEventGNN:
         w = self._window
         evicted = w.evict(t_us, reserve)
         if evicted:
-            gone = w.rows(np.arange(w.start - evicted, w.start, dtype=np.int64))
+            peak = self._running_max
+            lo = (w.start - evicted) % w.capacity
+            gone = w.x2[lo : lo + evicted]
+            if lo + evicted > w.capacity:  # the evicted rows wrap round
+                gone = np.concatenate((gone, w.x2[: lo + evicted - w.capacity]))
             if not w.num_live:
                 self._running_max = np.full(self._hidden, -np.inf)
-            elif np.any((w.x2[gone] == self._running_max) & (self._running_max > 0)):
+            elif ((gone == peak) & (peak > 0)).any():
                 self._running_max = w.x2[w.live_rows()].max(axis=0)
             self._expired_total += evicted
         return evicted
@@ -305,14 +337,12 @@ class AsyncEventGNN:
         :class:`AsyncStepReport` — a caller mutating it would corrupt
         the session's cached decision.
         """
-        if not np.isfinite(self._running_max).any():
+        finite = np.isfinite(self._running_max)
+        if not finite.any():
             scores = np.zeros(self.model.head.out_features)
         else:
-            pooled = np.where(
-                np.isfinite(self._running_max), self._running_max, 0.0
-            )
-            with no_grad(), stable_matmul():
-                scores = self.model.head(Tensor(pooled[None, :])).data[0]
+            pooled = np.where(finite, self._running_max, 0.0)
+            scores = self._plan.head(pooled)
         scores.flags.writeable = False
         return scores
 
@@ -363,21 +393,11 @@ class AsyncEventGNN:
         x0 = np.asarray(feats, dtype=np.float64)
         w = self._window
         row = w.row(node)
-
-        macs = 0
-        if neighbours.size:
-            nrows = w.rows(neighbours)
-            rel = w.pos[nrows] - w.pos[row]
-            n1 = w.x0[nrows]
-        else:
-            rel = np.zeros((0, 3))
-            n1 = np.zeros((0, x0.size))
-        h1, m1 = _edgeconv_single(self.model.conv1, x0, n1, rel)
-        h1 = np.maximum(h1, 0.0)
-        n2 = w.x1[nrows] if neighbours.size else np.zeros((0, h1.size))
-        h2, m2 = _edgeconv_single(self.model.conv2, h1, n2, rel)
-        h2 = np.maximum(h2, 0.0)
-        macs += m1 + m2
+        plan = self._plan
+        nrows = w.rows(neighbours)
+        rel = w.pos[nrows] - w.pos[row]
+        h1 = np.maximum(plan.conv(0, x0, w.x0[nrows], rel), 0.0)
+        h2 = np.maximum(plan.conv(1, h1, w.x1[nrows], rel), 0.0)
 
         w.x0[row] = x0
         w.x1[row] = h1
@@ -388,13 +408,13 @@ class AsyncEventGNN:
         # One head evaluation per event, cached for scores()/predict():
         # the charged head MACs match the work actually done.
         self._scores = self._compute_scores()
-        macs += self.model.head.in_features * self.model.head.out_features
+        k = int(neighbours.size)
 
         return AsyncStepReport(
             node_index=node,
-            num_neighbours=int(neighbours.size),
+            num_neighbours=k,
             insertion_candidates=int(candidates),
-            macs=macs,
+            macs=plan.node_macs + k * plan.edge_macs + plan.head_macs,
             scores=self._scores,
             expired_nodes=expired,
             live_nodes=self.num_live_nodes,

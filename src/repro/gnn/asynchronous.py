@@ -34,6 +34,9 @@ ring rows, eviction and state accounting are written once.
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,7 +464,8 @@ class HashInserter(_InserterBase):
     independent of both the sensor size and the liveness-window length.
 
     Live nodes are held in two interchangeable forms: per-event
-    :meth:`insert` appends to plain dict buckets, while
+    :meth:`insert` appends to dict buckets of ``array("q")`` ids (one
+    memcpy each when a lookup merges them), while
     :meth:`insert_many` stores each slice as a *block* — a
     cell-key-sorted id array per time-cell — so batched insertion never
     pays per-bucket Python bookkeeping.  Lookups (either path) probe
@@ -484,8 +488,8 @@ class HashInserter(_InserterBase):
 
     def __init__(self, *args, window: LiveWindow | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # time-cell index -> {(cx, cy): [node ids]}   (per-event inserts)
-        self._tcells: dict[int, dict[tuple[int, int], list[int]]] = {}
+        # time-cell index -> {(cx, cy): ascending node ids}   (per-event inserts)
+        self._tcells: dict[int, dict[tuple[int, int], array]] = {}
         # time-cell index -> [(sorted packed-xy keys, node ids)]  (batches)
         self._tblocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._min_tcell: int | None = None
@@ -494,10 +498,10 @@ class HashInserter(_InserterBase):
             self.window = window
 
     def _cell_xy(self, x: float, y: float) -> tuple[int, int]:
-        return (int(np.floor(x / self.radius)), int(np.floor(y / self.radius)))
+        return (math.floor(x / self.radius), math.floor(y / self.radius))
 
     def _cell_t(self, t_us: int) -> int:
-        return int(np.floor(t_us / (self.time_scale_us * self.radius)))
+        return math.floor(t_us / (self.time_scale_us * self.radius))
 
     def _expire(self, ct: int) -> None:
         """Drop time-cells too old to hold in-radius candidates.
@@ -516,7 +520,7 @@ class HashInserter(_InserterBase):
 
     def _gather(self, cx: int, cy: int, ct: int, cutoff: int) -> np.ndarray:
         """Candidate node ids from the ≤18 reachable buckets, time-filtered."""
-        merged: list[int] = []
+        merged = array("q")
         parts: list[np.ndarray] = []
         probes: np.ndarray | None = None
         for tc in (ct - 1, ct):
@@ -555,10 +559,10 @@ class HashInserter(_InserterBase):
                             parts.append(ids_b[a:b])
             probes = None  # probe validity is per-tc loop iteration only
         if merged:
-            parts.append(np.asarray(merged, dtype=np.int64))
+            parts.append(np.frombuffer(merged, dtype=np.int64))
         if not parts:
             return np.zeros(0, dtype=np.int64)
-        ids = np.concatenate(parts)
+        ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
         w = self.window
         if w.start:
             # Must run before the time filter: a cap-evicted id's ring
@@ -580,7 +584,8 @@ class HashInserter(_InserterBase):
         new_index = self._append_node(p, t_us)
         if ids.size:
             sink(ids, new_index)
-        self._tcells.setdefault(ct, {}).setdefault((cx, cy), []).append(new_index)
+        grid = self._tcells.setdefault(ct, {})
+        grid.setdefault((cx, cy), array("q")).append(new_index)
         if self._min_tcell is None or ct < self._min_tcell:
             self._min_tcell = ct
         self.stats.events_inserted += 1
@@ -619,11 +624,12 @@ class HashInserter(_InserterBase):
         for tc in list(self._tcells):
             grid = self._tcells[tc]
             for key in list(grid):
-                kept = [i for i in grid[key] if i >= floor]
-                if kept:
-                    grid[key] = kept
-                else:
+                bucket = grid[key]
+                cut = bisect_left(bucket, floor)  # ids ascend in a bucket
+                if cut == len(bucket):
                     del grid[key]
+                else:
+                    del bucket[:cut]
             if not grid:
                 del self._tcells[tc]
         live = self._tcells.keys() | self._tblocks.keys()
@@ -752,7 +758,7 @@ class HashInserter(_InserterBase):
                 if not (x_lo <= bx <= x_hi and y_lo <= by <= y_hi):
                     continue
                 m = len(bucket)
-                id_parts.append(np.asarray(bucket, dtype=np.int64))
+                id_parts.append(np.array(bucket, dtype=np.int64))
                 cx_parts.append(np.full(m, bx, dtype=np.int64))
                 cy_parts.append(np.full(m, by, dtype=np.int64))
                 ct_parts.append(np.full(m, tc, dtype=np.int64))

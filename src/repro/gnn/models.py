@@ -136,8 +136,9 @@ class EventGNNClassifier(Module):
         Runs under :class:`~repro.nn.stable_matmul` so that every node's
         features come out bit-identical whether the graph is evaluated
         whole (this method) or one event at a time
-        (:class:`~repro.gnn.AsyncEventGNN`) — the exact-equivalence
-        invariant the incremental serving path is tested against.
+        (:class:`~repro.gnn.AsyncEventGNN`, which runs the same einsum
+        on the same weight views) — the exact-equivalence invariant the
+        incremental serving path is tested against.
         """
         conv_rel = getattr(graph, "conv_rel_pos", None)
         rel_pos = conv_rel() if conv_rel is not None else None

@@ -77,8 +77,9 @@ class stable_matmul:
     context, 2-D ``Tensor`` matmuls are evaluated with ``np.einsum``,
     whose per-row reduction never depends on how many rows ride along.
     The incremental per-event GNN path computes exactly the rows the
-    batch path computes, one at a time — wrapping both sides in this
-    context is what makes them bit-equal rather than merely close.
+    batch path computes, one at a time, with the same einsum on plain
+    arrays — running the batch forward in this context is what makes
+    the two bit-equal rather than merely close.
     """
 
     def __enter__(self) -> "stable_matmul":

@@ -5,7 +5,8 @@ import pytest
 
 from repro.events import EventStream, Resolution
 from repro.gnn import AsyncEventGNN, EventGNNClassifier
-from repro.nn import Tensor, no_grad
+from repro.nn import SGD, Tensor, cross_entropy, no_grad
+from repro.nn.layers import Sequential, Tanh
 
 RES = Resolution(24, 24)
 
@@ -103,6 +104,42 @@ class TestAsyncEquivalence:
             x = model.conv2(x, graph.edges, graph.positions).relu()
         np.testing.assert_allclose(engine.node_features(), x.data, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 3, 7, 12])
+    def test_macs_reconcile_with_operation_count(self, seed):
+        """The per-event MACs sum to one batch forward over the built
+        graph plus the head evaluations the batch does not repeat."""
+        stream = make_stream(150, seed=seed)
+        engine = make_async()
+        reports = engine.process_stream(stream)
+        model = engine.model
+        graph = engine.built_graph()
+        assert graph.num_edges > 0  # operation_count counts >= 1 edge
+        head_macs = model.head.in_features * model.head.out_features
+        assert sum(r.macs for r in reports) == (
+            model.operation_count(graph) + (len(stream) - 1) * head_macs
+        )
+
+    def test_trained_after_open_then_reset(self):
+        """New events use the model's current weights; a reset after
+        training drops the features computed with the old ones."""
+        stream = make_stream(50, seed=6)
+        engine = make_async()
+        engine.process_stream(stream)
+        model = engine.model
+        before = [p.data.copy() for p in model.parameters()]
+        opt = SGD(model.parameters(), lr=0.5)
+        opt.zero_grad()
+        cross_entropy(model(engine.built_graph()), np.array([1])).backward()
+        opt.step()
+        assert any(
+            not np.array_equal(b, p.data) for b, p in zip(before, model.parameters())
+        )
+        engine.reset()
+        reports = engine.process_stream(stream)
+        with no_grad():
+            batch_scores = model(engine.built_graph()).data[0]
+        assert np.array_equal(reports[-1].scores, batch_scores)
+
     def test_prediction_matches(self):
         stream = make_stream(50, seed=4)
         engine = make_async()
@@ -153,6 +190,22 @@ class TestAsyncMechanics:
     def test_requires_edgeconv(self):
         model = EventGNNClassifier(2, hidden=4, conv="spline")
         with pytest.raises(TypeError):
+            AsyncEventGNN(model)
+
+    @pytest.mark.parametrize("layer", ["conv1", "conv2"])
+    @pytest.mark.parametrize("defect", ["mean", "tanh"])
+    def test_requires_max_edgeconv(self, layer, defect):
+        """Only max aggregation through a Linear, ReLU, Linear MLP is
+        bit-equal to the batch forward: the batch mean rounds as
+        ``sum * (1 / count)``, which a per-node mean does not."""
+        model = EventGNNClassifier(3, hidden=8, rng=np.random.default_rng(1))
+        conv = getattr(model, layer)
+        if defect == "mean":
+            conv.aggregation = "mean"
+        else:
+            first, _, last = conv.mlp.layers
+            conv.mlp = Sequential(first, Tanh(), last)
+        with pytest.raises(ValueError, match=layer):
             AsyncEventGNN(model)
 
     def test_position_requires_resolution(self):
@@ -207,14 +260,15 @@ class TestAsyncMechanics:
         stream = make_stream(30, seed=8)
         engine = make_async()
         head = engine.model.head
+        plan = engine._plan
         calls = {"n": 0}
-        orig = head.forward
+        orig = plan.head
 
         def counting(x):
             calls["n"] += 1
             return orig(x)
 
-        head.forward = counting
+        plan.head = counting
         reports = engine.process_stream(stream)
         assert calls["n"] == len(stream)
         # Reads between events are served from the cache, not the head.
@@ -223,6 +277,36 @@ class TestAsyncMechanics:
         assert calls["n"] == len(stream)
         head_macs = head.in_features * head.out_features
         assert all(r.macs >= head_macs for r in reports)
+
+    def test_warm_bounded_step_builds_no_tensor(self, monkeypatch):
+        """A warmed-up bounded engine serves each event, its decision
+        reads and its evictions without one autograd ``Tensor``."""
+        model = EventGNNClassifier(3, hidden=8, rng=np.random.default_rng(1))
+        engine = AsyncEventGNN(
+            model, radius=4.0, time_scale_us=2000.0, window_us=1_000_000,
+            max_degree=8, max_live_nodes=16,
+        )
+        stream = make_stream(120, seed=5)
+        events = list(zip(stream.x, stream.y, stream.t, stream.p))
+        for x, y, t, p in events[:60]:
+            engine.process_event(int(x), int(y), int(t), int(p))
+        built = {"n": 0}
+        orig = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            built["n"] += 1
+            orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        reports = []
+        for x, y, t, p in events[60:]:
+            reports.append(engine.process_event(int(x), int(y), int(t), int(p)))
+            engine.predict()
+        engine.expire(int(stream.t[-1]) + 2_000_000)
+        engine.scores()
+        assert built["n"] == 0
+        assert sum(r.num_neighbours for r in reports) > 0
+        assert sum(r.expired_nodes for r in reports) > 0
 
     def test_reset_restores_fresh_state(self):
         stream = make_stream(40, seed=10)
