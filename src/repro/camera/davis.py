@@ -96,5 +96,5 @@ class DualPixelCamera:
             )
         events, stats = self._event_camera.record(stimulus, duration_us)
         frame_times = np.arange(0, duration_us + 1, self.frame_period_us, dtype=np.int64)
-        frames = np.stack([stimulus.frame(float(t)) for t in frame_times])
+        frames = stimulus.frames(frame_times)
         return DualPixelRecording(events, frames, frame_times, stats)

@@ -21,6 +21,12 @@ from .video import Stimulus
 
 __all__ = ["CameraConfig", "EventCamera", "RecordingStats"]
 
+#: Bytes of float64 log luminance that :meth:`EventCamera.record` hands
+#: the pixel array at once: a block holds ``BLOCK_BYTES // (8 * H * W)``
+#: frames, so the simulator's working set is a fixed multiple of this
+#: whatever the recording's duration.
+BLOCK_BYTES = 2 << 20
+
 
 @dataclass(frozen=True)
 class CameraConfig:
@@ -95,7 +101,10 @@ class EventCamera:
         """Record ``stimulus`` for ``duration_us`` microseconds.
 
         The pixel array is reset at the start of each recording (the
-        first sample initialises references and emits nothing).
+        first sample initialises references and emits nothing).  Samples
+        are taken every ``sample_period_us`` from ``t_start`` through
+        ``t_start + duration_us`` and simulated in blocks of
+        :data:`BLOCK_BYTES`.
 
         Args:
             stimulus: the scene; must match the camera resolution.
@@ -104,6 +113,10 @@ class EventCamera:
 
         Returns:
             The recorded event stream and recording statistics.
+
+        Raises:
+            ValueError: on a resolution mismatch, a non-positive duration,
+                or a stimulus frame that is not positive and finite.
         """
         if stimulus.resolution != self.resolution:
             raise ValueError(
@@ -114,14 +127,18 @@ class EventCamera:
 
         self._pixels.reset()
         period = self.config.sample_period_us
+        block_us = max(1, BLOCK_BYTES // (8 * self.resolution.num_pixels)) * period
         chunks: list[EventStream] = []
-        t = t_start
         end = t_start + duration_us
-        while t <= end:
-            chunk = self._pixels.step(stimulus.log_frame(float(t)), t)
+        for t0 in range(t_start, end + 1, block_us):
+            ts = np.arange(t0, min(t0 + block_us, end + 1), period, dtype=np.int64)
+            # Non-positive luminance is reported by the pixel array's
+            # non-finite check, naming the pixel and time.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_frames = np.log(stimulus.frames(ts))
+            chunk = self._pixels._simulate(log_frames, ts)
             if len(chunk):
                 chunks.append(chunk)
-            t += period
 
         signal = (
             concatenate(chunks) if chunks else EventStream.empty(self.resolution)

@@ -9,13 +9,17 @@ into events, exactly as a sensor would.
 
 All stimuli are pure functions of time (no hidden state), so any frame
 can be sampled at any instant — which is what lets the simulator use
-adaptive sub-microsecond timestamp interpolation.
+adaptive sub-microsecond timestamp interpolation.  The simulator samples
+a whole block of times at once through :meth:`Stimulus.frames`;
+:class:`MovingBar` and :class:`RotatingBar`, which synthesise the
+gesture datasets, compute that stack by broadcasting over time.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +51,12 @@ def _soft_step(d: np.ndarray, softness: float = EDGE_SOFTNESS) -> np.ndarray:
 
     Soft edges make threshold crossings happen at slightly different times
     in adjacent pixels, which is what produces the realistic staggered
-    event timing of a physical sensor.
+    event timing of a physical sensor.  Computed in place: overwrites and
+    returns ``d``.
     """
-    return np.clip(0.5 + d / (2.0 * softness), 0.0, 1.0)
+    d /= 2.0 * softness
+    d += 0.5
+    return np.clip(d, 0.0, 1.0, out=d)
 
 
 class Stimulus(abc.ABC):
@@ -69,13 +76,28 @@ class Stimulus(abc.ABC):
     def frame(self, t_us: float) -> np.ndarray:
         """Luminance frame at time ``t_us`` (microseconds), shape ``(H, W)``, > 0."""
 
+    def frames(self, ts_us: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Luminance frames at each time of ``ts_us``, shape ``(T, H, W)``.
+
+        The simulator reads a stimulus only through this method.  The
+        default stacks :meth:`frame`; a subclass may override it with a
+        vectorised version, which must be byte-equal to that stack.
+        """
+        ts = np.asarray(ts_us, dtype=np.float64).tolist()
+        return np.stack([self.frame(t) for t in ts])
+
     def log_frame(self, t_us: float) -> np.ndarray:
         """Natural-log luminance at ``t_us`` — the quantity DVS pixels sense."""
-        return np.log(self.frame(t_us))
+        return np.log(self.frames([t_us])[0])
 
     def _blend(self, mask: np.ndarray) -> np.ndarray:
-        """Blend foreground over background by a [0, 1] coverage mask."""
-        return BACKGROUND + (FOREGROUND - BACKGROUND) * mask
+        """Blend foreground over background by a [0, 1] coverage mask.
+
+        Computed in place: overwrites and returns ``mask``.
+        """
+        mask *= FOREGROUND - BACKGROUND
+        mask += BACKGROUND
+        return mask
 
 
 @dataclass
@@ -120,6 +142,10 @@ class MovingBar(Stimulus):
         self.x0 = x0
 
     def frame(self, t_us: float) -> np.ndarray:
+        return self.frames([t_us])[0]
+
+    def frames(self, ts_us: Sequence[float] | np.ndarray) -> np.ndarray:
+        t_us = np.asarray(ts_us, dtype=np.float64)[:, None, None]
         cx = self.x0 + self.speed * t_us * 1e-6
         d = self.bar_width / 2.0 - np.abs(self._xs - cx)
         return self._blend(_soft_step(d))
@@ -286,15 +312,25 @@ class RotatingBar(Stimulus):
         self._cy = (resolution.height - 1) / 2.0
 
     def frame(self, t_us: float) -> np.ndarray:
-        angle = self.phase0 + self.omega * t_us * 1e-6
-        c, s = math.cos(angle), math.sin(angle)
-        # Coordinates in the bar's rotating frame.
+        return self.frames([t_us])[0]
+
+    def frames(self, ts_us: Sequence[float] | np.ndarray) -> np.ndarray:
+        # math.cos/sin per angle: np.cos over an array need not round
+        # like libm, and frames must match frame-by-frame synthesis.
+        ts = np.asarray(ts_us, dtype=np.float64).tolist()
+        angles = [self.phase0 + self.omega * t * 1e-6 for t in ts]
+        c = np.array([math.cos(a) for a in angles])[:, None, None]
+        s = np.array([math.sin(a) for a in angles])[:, None, None]
+        # Coordinates in the bar's rotating frame, computed in place.
         dx = self._xs - self._cx
         dy = self._ys - self._cy
-        along = dx * c + dy * s
-        across = -dx * s + dy * c
-        d = np.minimum(self.half_len - np.abs(along), self.half_width - np.abs(across))
-        return self._blend(_soft_step(d))
+        along = dx * c
+        along += dy * s
+        across = dy * c
+        across -= dx * s
+        np.subtract(self.half_len, np.abs(along, out=along), out=along)
+        np.subtract(self.half_width, np.abs(across, out=across), out=across)
+        return self._blend(_soft_step(np.minimum(along, across, out=along)))
 
 
 class TexturePan(Stimulus):

@@ -17,6 +17,9 @@ from repro.camera import (
 )
 from repro.events import EventStream, Resolution
 
+# A NumPy cast or invalid-value warning in the simulator is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RES = Resolution(32, 32)
 
 

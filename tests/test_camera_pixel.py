@@ -15,6 +15,9 @@ from repro.camera import (
 )
 from repro.events import EventStream, Resolution
 
+# A NumPy cast or invalid-value warning in the simulator is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RES = Resolution(16, 12)
 
 

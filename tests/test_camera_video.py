@@ -15,6 +15,9 @@ from repro.camera import (
 from repro.camera.video import BACKGROUND, FOREGROUND
 from repro.events import Resolution
 
+# A NumPy cast or invalid-value warning in the simulator is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 RES = Resolution(32, 24)
 
 ALL_STIMULI = [
