@@ -13,7 +13,6 @@ from .comparison import (
 from .incremental import (
     AuditPolicy,
     GNNIncrementalSession,
-    IncrementalSession,
     SessionDivergenceError,
 )
 from .metrics import (
@@ -56,7 +55,6 @@ __all__ = [
     "PipelineMetrics",
     "NotFittedError",
     "ParadigmPipeline",
-    "IncrementalSession",
     "GNNIncrementalSession",
     "AuditPolicy",
     "SessionDivergenceError",

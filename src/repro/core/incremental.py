@@ -7,11 +7,11 @@ hardware.  This module is the serving-side face of that idea: a
 running decision, so a served window costs per-event incremental work
 instead of a full graph rebuild plus batch forward pass.
 
-:class:`IncrementalSession` is the paradigm-neutral protocol the
-streaming executor drives (see
-:meth:`~repro.core.pipeline.ParadigmPipeline.open_session`).
-:class:`GNNIncrementalSession` implements it over
-:class:`~repro.gnn.AsyncEventGNN`, adding the observability wiring —
+:class:`GNNIncrementalSession`, opened by
+:meth:`~repro.core.pipeline.GNNPipeline.open_session`, is that session
+over :class:`~repro.gnn.AsyncEventGNN`.  Callers serving per event — the
+e2ebench ``event_serve`` workload, the incremental robustness sweep —
+drive it directly.  It adds the observability wiring —
 per-event latency histogram, MACs/events counters, a
 ``session_state_bytes`` gauge and ``expired_nodes_total`` counter — and
 two resilience mechanisms the engine alone cannot provide:
@@ -38,7 +38,6 @@ einsum on plain arrays).
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from ..observability import Instrumentation, exponential_buckets
 __all__ = [
     "AuditPolicy",
     "SessionDivergenceError",
-    "IncrementalSession",
     "GNNIncrementalSession",
     "SESSION_SNAPSHOT_FORMAT",
 ]
@@ -125,8 +123,8 @@ class SessionDivergenceError(RuntimeError):
         self.window_index = window_index
 
 
-class IncrementalSession(abc.ABC):
-    """One per-event serving session of a fitted pipeline.
+class GNNIncrementalSession:
+    """Per-event GNN serving over an :class:`~repro.gnn.AsyncEventGNN`.
 
     Protocol: feed events in timestamp order with :meth:`process_event`
     (or :meth:`predict_event` for an immediate decision), read the
@@ -137,78 +135,10 @@ class IncrementalSession(abc.ABC):
 
     Counter contract: :attr:`num_events` is *per-window* (it returns to
     zero on :meth:`reset`) while :attr:`macs_total` is *per-session*
-    (it deliberately survives :meth:`reset`, and — for checkpointing
-    sessions — :meth:`restore` too).  The benchmark comparison against
-    per-window recompute depends on this split; both halves are
-    asserted in ``tests/test_incremental_serving.py``.
-    """
-
-    @abc.abstractmethod
-    def process_event(self, x: int, y: int, t_us: int, polarity: int):
-        """Incorporate one event; returns the paradigm's step report."""
-
-    def predict_event(self, x: int, y: int, t_us: int, polarity: int) -> int:
-        """Incorporate one event and return the updated decision."""
-        self.process_event(x, y, t_us, polarity)
-        return self.predict()
-
-    @abc.abstractmethod
-    def scores(self) -> np.ndarray:
-        """Current class scores (zeros before the first event)."""
-
-    @abc.abstractmethod
-    def predict(self) -> int:
-        """Current class decision."""
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Forget every event; model weights are untouched.
-
-        Zeroes :attr:`num_events` but **not** :attr:`macs_total` — see
-        the class docstring's counter contract.
-        """
-
-    def snapshot(self) -> dict:
-        """Checkpoint the session state (optional capability).
-
-        Returns a self-contained dict that :meth:`restore` accepts.
-        Sessions without checkpoint support raise ``NotImplementedError``;
-        callers feature-test with ``hasattr`` or ``try``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    def restore(self, state: dict) -> None:
-        """Restore a :meth:`snapshot`; raises ``ValueError`` when the
-        checkpoint is structurally incompatible with this session.
-
-        Lifetime work accounting (:attr:`macs_total`) is *not* rolled
-        back — restoring discards state, not the work already spent
-        producing it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support checkpointing"
-        )
-
-    @property
-    @abc.abstractmethod
-    def num_events(self) -> int:
-        """Events incorporated since the last reset (zeroed by reset)."""
-
-    @property
-    @abc.abstractmethod
-    def macs_total(self) -> int:
-        """Multiply-accumulates spent since the session opened.
-
-        Unlike :attr:`num_events` this survives :meth:`reset` (and
-        :meth:`restore`) — it is the session-lifetime work figure the
-        benchmarks compare against per-window recompute.
-        """
-
-
-class GNNIncrementalSession(IncrementalSession):
-    """Per-event GNN serving over an :class:`~repro.gnn.AsyncEventGNN`.
+    (it deliberately survives :meth:`reset` and :meth:`restore`).  The
+    benchmark comparison against per-window recompute depends on this
+    split; both halves are asserted in
+    ``tests/test_incremental_serving.py``.
 
     Args:
         engine: the incremental inference engine, seeded with the
@@ -327,6 +257,7 @@ class GNNIncrementalSession(IncrementalSession):
         return self._last_drift
 
     def process_event(self, x: int, y: int, t_us: int, polarity: int):
+        """Incorporate one event; returns the engine's step report."""
         if self._clock is None:
             report = self._engine.process_event(x, y, t_us, polarity)
         else:
@@ -349,6 +280,11 @@ class GNNIncrementalSession(IncrementalSession):
                 self._buf_overflow = True
         return report
 
+    def predict_event(self, x: int, y: int, t_us: int, polarity: int) -> int:
+        """Incorporate one event and return the updated decision."""
+        self.process_event(x, y, t_us, polarity)
+        return self.predict()
+
     def process_stream(self, stream) -> list:
         """Incorporate every event of an :class:`~repro.events.EventStream`."""
         return [
@@ -357,13 +293,18 @@ class GNNIncrementalSession(IncrementalSession):
         ]
 
     def scores(self) -> np.ndarray:
+        """Current class scores (zeros before the first event)."""
         return self._engine.scores()
 
     def predict(self) -> int:
+        """Current class decision."""
         return self._engine.predict()
 
     def reset(self) -> None:
         """Close the window (auditing it when due) and start the next.
+
+        Model weights are untouched.  Zeroes :attr:`num_events` but
+        **not** :attr:`macs_total` — see the counter contract.
 
         Raises:
             SessionDivergenceError: when the closing window was audited
@@ -505,8 +446,15 @@ class GNNIncrementalSession(IncrementalSession):
 
     @property
     def num_events(self) -> int:
+        """Events incorporated since the last reset (zeroed by reset)."""
         return self._engine.num_events
 
     @property
     def macs_total(self) -> int:
+        """Multiply-accumulates spent since the session opened.
+
+        Unlike :attr:`num_events` this survives :meth:`reset` and
+        :meth:`restore` — it is the session-lifetime work figure the
+        benchmarks compare against per-window recompute.
+        """
         return self._macs_total

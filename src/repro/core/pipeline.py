@@ -191,38 +191,6 @@ class ParadigmPipeline(abc.ABC):
         """Batch classification; the default defers to ``_predict``."""
         return [self._predict(stream) for stream in streams]
 
-    # ------------------------------------------------------------------
-    # Per-event incremental serving (default: unsupported)
-    # ------------------------------------------------------------------
-    @property
-    def supports_incremental(self) -> bool:
-        """True when :meth:`open_session` yields a per-event fast path."""
-        return False
-
-    @property
-    def incremental_capacity(self) -> int | None:
-        """Largest window (events) the fast path serves exactly.
-
-        Beyond this, windowed ``predict`` subsamples its input, so a
-        session that saw every event would no longer agree with it;
-        callers (the streaming executor) fall back to the windowed path.
-        ``None`` means unbounded.
-        """
-        return None
-
-    def open_session(self, **kwargs) -> "IncrementalSession":
-        """Open a per-event serving session (see :mod:`repro.core.incremental`).
-
-        Paradigms without an incremental formulation raise
-        ``NotImplementedError`` — callers should check
-        :attr:`supports_incremental` first.  Keyword arguments (state
-        bounds, audit policy) are paradigm-specific; see the overrides.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no per-event serving fast path; "
-            "check supports_incremental before calling open_session()"
-        )
-
     def measure(self, test: EventDataset, temporal_labels: tuple[int, ...] = ()) -> PipelineMetrics:
         """Evaluate the Table-I quantities on a test set.
 
@@ -632,16 +600,6 @@ class GNNPipeline(ParadigmPipeline):
     # ------------------------------------------------------------------
     # Per-event incremental serving fast path
     # ------------------------------------------------------------------
-    @property
-    def supports_incremental(self) -> bool:
-        """The GNN paradigm serves per event (Section IV's perspective)."""
-        return True
-
-    @property
-    def incremental_capacity(self) -> int | None:
-        """``config.max_events`` — above it windowed predict subsamples."""
-        return self.config.max_events
-
     def open_session(
         self,
         *,
@@ -672,8 +630,7 @@ class GNNPipeline(ParadigmPipeline):
                 runs this pipeline's own windowed graph build over *all*
                 buffered events (``max_events`` lifted — the session
                 processes every event, so a subsampled shadow would
-                false-alarm on any window beyond
-                :attr:`incremental_capacity`).  Within capacity this is
+                false-alarm on any window beyond ``config.max_events``).  Within capacity this is
                 exactly what windowed :meth:`predict` would score.
         """
         from dataclasses import replace

@@ -28,17 +28,12 @@ executor prefers falling back over burning queue time.  An exception
 from a stage is a failed call its breaker records; unfitted pipelines
 raise :class:`~repro.core.pipeline.NotFittedError` up front.
 
-With ``serve_mode="event"`` the executor serves stages whose pipeline
-exposes a per-event incremental session
-(:meth:`~repro.core.pipeline.ParadigmPipeline.open_session`) by feeding
-each window's events one at a time and emitting the decision at the
-window boundary — the GNN fast path of the paper's Section-IV
-perspective.  Accounting, shedding, expiry and breaker behaviour are
-identical to window mode; fast-path work is additionally counted in
-``stream_incremental_*`` counters and ``call:{stage}[incremental]`` /
-``call:{stage}[recompute]`` span names.  The run
-returns a :class:`~repro.streaming.report.StreamReport` whose window and
-event accounting balances exactly.
+Every window is served one way: through each stage's windowed
+``predict``.  Per-event serving — the GNN fast path of the paper's
+Section-IV perspective — does not go through the executor; callers
+drive :meth:`~repro.core.pipeline.GNNPipeline.open_session` directly.
+The run returns a :class:`~repro.streaming.report.StreamReport` whose
+window and event accounting balances exactly.
 
 Every run builds a fresh :class:`~repro.observability.Instrumentation`
 on the executor's *virtual* clock (exposed as :attr:`StreamingExecutor.obs`).
@@ -53,6 +48,7 @@ snapshots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -90,6 +86,10 @@ _EVENT_OUTCOMES = ("offered", "processed", "expired", "failed_ingest", "failed_s
 
 #: Shed tiers that remove data (NONE never appears in the ledger).
 _SHED_TIERS = tuple(t.name for t in ShedTier if t is not ShedTier.NONE)
+
+#: Age (arrival → service start), in windows, past which a queued
+#: window expires unserved.
+DEADLINE_WINDOWS = 4
 
 #: Latency buckets: 1 ms .. ~1e4 s of virtual time, decade steps.
 _LATENCY_BUCKETS = exponential_buckets(1e3, 10.0, 8)
@@ -147,42 +147,22 @@ class ServiceModel:
     """Analytic virtual-time cost of serving one window.
 
     Attributes:
-        base_us: fixed per-window overhead (dispatch, framing).
+        base_us: fixed per-window overhead (dispatch, framing); also the
+            cost of answering from the last-good cache.
         per_event_us: marginal cost per event fed to the model.
-        cache_us: cost of answering from the last-good cache (defaults
-            to ``base_us``).
-        incremental_event_us: marginal cost per event on the per-event
-            incremental fast path (``serve_mode="event"``).  Defaults to
-            ``per_event_us`` so switching serve modes leaves the virtual
-            timeline — arrivals, queueing, shedding, expiry — untouched;
-            calibrated runs pass the measured (much smaller) figure.
     """
 
     base_us: float = 1000.0
     per_event_us: float = 0.5
-    cache_us: float | None = None
-    incremental_event_us: float | None = None
 
     def __post_init__(self) -> None:
-        if self.base_us < 0 or self.per_event_us < 0:
-            raise ValueError("service costs must be non-negative")
-        if self.cache_us is not None and self.cache_us < 0:
-            raise ValueError("cache_us must be non-negative")
-        if self.incremental_event_us is not None and self.incremental_event_us < 0:
-            raise ValueError("incremental_event_us must be non-negative")
+        for cost in (self.base_us, self.per_event_us):
+            if not (math.isfinite(cost) and cost >= 0):
+                raise ValueError("service costs must be finite and non-negative")
 
     def service_us(self, num_events: int) -> float:
         """Virtual service time of one stage call on ``num_events``."""
         return self.base_us + self.per_event_us * num_events
-
-    def incremental_us(self, num_events: int) -> float:
-        """Virtual service time of one fast-path window of ``num_events``."""
-        per = (
-            self.per_event_us
-            if self.incremental_event_us is None
-            else self.incremental_event_us
-        )
-        return self.base_us + per * num_events
 
     def sustainable_events_per_window(self, window_us: float) -> float | None:
         """Event budget per window period at 100% utilisation.
@@ -201,14 +181,10 @@ class StreamStage:
     Attributes:
         name: unique stage name (breaker + report key).
         predict: window → prediction callable.
-        pipeline: the originating :class:`ParadigmPipeline`, when the
-            stage wraps one — what gives the per-event serve mode access
-            to the pipeline's incremental session fast path.
     """
 
     name: str
     predict: Callable[[EventStream], Any]
-    pipeline: ParadigmPipeline | None = None
 
 
 def _call(fn: Callable[[], Any]) -> tuple[bool, Any]:
@@ -231,7 +207,7 @@ def _as_stage(obj: Any, used: set[str]) -> StreamStage:
     if isinstance(obj, StreamStage):
         stage = obj
     elif isinstance(obj, ParadigmPipeline):
-        stage = StreamStage(obj.name, obj.predict, pipeline=obj)
+        stage = StreamStage(obj.name, obj.predict)
     elif isinstance(obj, tuple) and len(obj) == 2:
         stage = StreamStage(str(obj[0]), obj[1])
     elif callable(obj):
@@ -247,7 +223,7 @@ def _as_stage(obj: Any, used: set[str]) -> StreamStage:
         name = f"{stage.name}#{suffix}"
         suffix += 1
     used.add(name)
-    return StreamStage(name, stage.predict, stage.pipeline)
+    return StreamStage(name, stage.predict)
 
 
 class StreamingExecutor:
@@ -261,9 +237,9 @@ class StreamingExecutor:
         fallbacks: cheaper stages tried, in order, when the primary's
             breaker refuses or its call fails.
         service: virtual-time cost model of one stage call.
-        queue_capacity: bound of the ingest queue.
-        deadline_us: maximum age (arrival → service start) before a
-            window expires; defaults to ``4 * window_us``.
+        queue_capacity: bound of the ingest queue.  A queued window
+            expires once it is older than :data:`DEADLINE_WINDOWS`
+            windows at service start.
         shed_policy: watermarks + transform parameters of the shedding
             controller.
         breaker_policy: trip/recovery parameters shared by all stage
@@ -274,37 +250,6 @@ class StreamingExecutor:
         hooks: optional :class:`~repro.observability.ProfilingHooks`
             fired from the per-run instrumentation (stage calls, window
             outcomes, shed applications, breaker trips).
-        serve_mode: ``"window"`` (default) calls each stage's windowed
-            ``predict``; ``"event"`` feeds events one at a time through
-            the incremental session of any stage whose pipeline exposes
-            the fast path (:attr:`~repro.core.pipeline.ParadigmPipeline
-            .supports_incremental`), emitting the decision at the window
-            boundary so report accounting is unchanged.  Stages without
-            a fast path — and windows beyond a pipeline's
-            ``incremental_capacity``, where windowed ``predict`` would
-            subsample — are served windowed exactly as in window mode.
-            Each fast path sits behind its own probation breaker
-            (closed/open/half-open, reusing ``fastpath_policy`` or
-            ``breaker_policy``): a fast path that raises trips a
-            failure, the window is recomputed windowed on the same
-            stage (span ``call:{stage}[recompute]``, counted in
-            ``stream_incremental_fallbacks_total``), and its session is
-            restored from the last good checkpoint (counted in
-            ``stream_incremental_restores_total``) or discarded.  A
-            tripped fast path re-enables after seeded half-open probes
-            succeed; windows the open breaker refuses are served
-            windowed and counted in
-            ``stream_incremental_refusals_total``.  Shedding, expiry,
-            stage breakers and the fallback chain behave identically in
-            both modes; with the default service model the virtual
-            timeline is identical too.
-        fastpath_policy: trip/recovery parameters of the per-stage
-            fast-path probation breakers (event mode only); defaults to
-            ``breaker_policy``.
-        session_kwargs: keyword arguments forwarded to
-            ``pipeline.open_session`` when the fast path opens a
-            session (event mode only), e.g. ``max_live_nodes`` or an
-            ``audit`` policy for bounded, self-auditing serving.
     """
 
     def __init__(
@@ -315,24 +260,16 @@ class StreamingExecutor:
         fallbacks: Iterable[Any] = (),
         service: ServiceModel | None = None,
         queue_capacity: int = 16,
-        deadline_us: float | None = None,
         shed_policy: ShedPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
         use_last_good: bool = True,
         seed: int = 0,
         hooks: ProfilingHooks | None = None,
-        serve_mode: str = "window",
-        fastpath_policy: BreakerPolicy | None = None,
-        session_kwargs: dict[str, Any] | None = None,
     ) -> None:
         if window_us <= 0:
             raise ValueError("window_us must be positive")
         if queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if deadline_us is not None and deadline_us <= 0:
-            raise ValueError("deadline_us must be positive")
-        if serve_mode not in ("window", "event"):
-            raise ValueError("serve_mode must be 'window' or 'event'")
         used: set[str] = set()
         self._pipelines = [
             obj for obj in (primary, *fallbacks) if isinstance(obj, ParadigmPipeline)
@@ -343,24 +280,17 @@ class StreamingExecutor:
         self.window_us = int(window_us)
         self.service = service or ServiceModel()
         self.queue_capacity = queue_capacity
-        self.deadline_us = (
-            float(deadline_us) if deadline_us is not None else 4.0 * window_us
-        )
+        self.deadline_us = float(DEADLINE_WINDOWS * window_us)
         self.shed_policy = shed_policy or ShedPolicy()
         self.breaker_policy = breaker_policy or BreakerPolicy()
         self.use_last_good = use_last_good
         self.seed = seed
         self.hooks = hooks
-        self.serve_mode = serve_mode
-        self.fastpath_policy = fastpath_policy or self.breaker_policy
-        self.session_kwargs = dict(session_kwargs or {})
         # Per-run state, exposed for inspection after run().
         self.breakers: dict[str, CircuitBreaker] = {}
-        self.inc_breakers: dict[str, CircuitBreaker] = {}
         self.controller: ShedController | None = None
         self.last_good: Any = None
         self.obs: Instrumentation | None = None
-        self.sessions: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Run setup
@@ -403,9 +333,6 @@ class StreamingExecutor:
         )
         self.last_good = None
         self._queue = BoundedWindowQueue(self.queue_capacity)
-        self.sessions = {}
-        self._inc_snapshots: dict[str, Any] = {}
-        self._last_inc_macs = 0
 
         # Pre-create every per-run series so snapshots carry the full
         # schema (explicit zeros, stable family set) and the hot paths
@@ -465,53 +392,6 @@ class StreamingExecutor:
         self._queue_peak = reg.gauge(
             "stream_queue_depth_peak", help="deepest the ingest queue got"
         )
-        # Fast-path counters exist only in event mode, so window-mode
-        # snapshots keep their pre-existing schema byte for byte.
-        self._inc_m = {
-            stage.name: {
-                field: reg.counter(
-                    f"stream_incremental_{field}_total",
-                    labels={"stage": stage.name},
-                    help=help_text,
-                )
-                for field, help_text in (
-                    ("windows", "windows served by the per-event fast path"),
-                    ("events", "events fed through the per-event fast path"),
-                    ("macs", "multiply-accumulates spent by the fast path"),
-                    (
-                        "fallbacks",
-                        "fast-path trips recomputed windowed on the same stage",
-                    ),
-                    (
-                        "refusals",
-                        "eligible windows the open fast-path breaker refused",
-                    ),
-                    (
-                        "restores",
-                        "sessions restored from their last good checkpoint",
-                    ),
-                )
-            }
-            for stage in self.stages
-            if self.serve_mode == "event"
-            and stage.pipeline is not None
-            and stage.pipeline.supports_incremental
-        }
-        # One probation breaker per fast-path stage, separate from the
-        # stage breakers so ``report.breaker_states`` (and window-mode
-        # behaviour) is untouched.  Closed-state allow() touches no rng,
-        # so a healthy run stays bitwise identical to the pre-probation
-        # executor.
-        self.inc_breakers = {
-            name: CircuitBreaker(
-                f"{name}:incremental",
-                self.fastpath_policy,
-                self.seed,
-                on_transition=self._on_transition,
-            )
-            for name in self._inc_m
-        }
-
         report = StreamReport(window_us=self.window_us, ledger=_InstrumentedLedger(obs))
         for name in stage_names:
             report.stage_stats[name] = StageStats(name)
@@ -520,78 +400,6 @@ class StreamingExecutor:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _fast_path_eligible(
-        self, stage: StreamStage, num_events: int, index: int
-    ) -> bool:
-        """Should this window go through the stage's per-event session?
-
-        Windows larger than the pipeline's ``incremental_capacity`` are
-        served windowed: beyond it windowed ``predict`` subsamples its
-        input, so the fast path would no longer be exactly equivalent.
-        Empty windows are served windowed too, matching window mode.
-        Otherwise-eligible windows the probation breaker refuses are
-        counted as refusals and served windowed; half-open probes
-        re-enable a tripped fast path.
-        """
-        if stage.name not in self._inc_m:
-            return False
-        if num_events == 0:
-            return False
-        cap = stage.pipeline.incremental_capacity
-        if cap is not None and num_events > cap:
-            return False
-        if not self.inc_breakers[stage.name].allow(index):
-            self._inc_m[stage.name]["refusals"].inc()
-            return False
-        return True
-
-    def _serve_incremental(self, stage: StreamStage, window: EventStream) -> Any:
-        """Feed one window event by event; decide at the boundary."""
-        session = self.sessions.get(stage.name)
-        if session is None:
-            # Call open_session() bare unless kwargs were given: stages
-            # may wrap pipelines whose open_session takes no kwargs.
-            if self.session_kwargs:
-                session = stage.pipeline.open_session(**self.session_kwargs)
-            else:
-                session = stage.pipeline.open_session()
-            self.sessions[stage.name] = session
-        session.reset()
-        before = session.macs_total
-        for t, x, y, p in zip(window.t, window.x, window.y, window.p):
-            session.process_event(int(x), int(y), int(t), int(p))
-        self._last_inc_macs = int(session.macs_total - before)
-        return session.predict()
-
-    def _checkpoint_session(self, stage: StreamStage) -> None:
-        """Record the session's state after a successful window."""
-        session = self.sessions.get(stage.name)
-        if session is None:
-            return
-        try:
-            self._inc_snapshots[stage.name] = session.snapshot()
-        except NotImplementedError:
-            pass  # session type has no checkpoint support
-
-    def _recover_session(self, stage: StreamStage) -> None:
-        """Roll the session back to its last good checkpoint, or drop it.
-
-        Restoring (rather than always reopening) preserves per-session
-        counters such as ``macs_total`` and keeps recovery O(state)
-        instead of O(retrain-free reopen + warmup).
-        """
-        session = self.sessions.get(stage.name)
-        snap = self._inc_snapshots.get(stage.name)
-        if session is not None and snap is not None:
-            try:
-                session.restore(snap)
-                self._inc_m[stage.name]["restores"].inc()
-                return
-            except Exception:
-                pass  # corrupt checkpoint or session: fall through to drop
-        self.sessions.pop(stage.name, None)
-        self._inc_snapshots.pop(stage.name, None)
-
     def _serve(self, ticket: WindowTicket, start_us: float, report: StreamReport) -> None:
         """Run one window through the fallback chain at virtual ``start_us``."""
         obs = self.obs
@@ -604,59 +412,11 @@ class StreamingExecutor:
                 if not breaker.allow(ticket.index):
                     continue
                 m = self._stage_m[stage.name]
-                num_events = len(ticket.stream)
-                if self._fast_path_eligible(stage, num_events, ticket.index):
-                    cost = self.service.incremental_us(num_events)
-                    m["calls"].inc()
-                    m["busy_us"].inc(cost)
-                    obs.stage_start(stage.name, ticket.index)
-                    with obs.tracer.span(f"call:{stage.name}[incremental]"):
-                        self._clock += cost
-                        called, out = _call(
-                            lambda: self._serve_incremental(stage, ticket.stream)
-                        )
-                    ok = called and not is_bad_output(out)
-                    obs.stage_end(stage.name, ticket.index, ok=ok)
-                    inc = self._inc_m[stage.name]
-                    inc_breaker = self.inc_breakers[stage.name]
-                    if ok:
-                        breaker.record_success(ticket.index)
-                        inc_breaker.record_success(ticket.index)
-                        m["successes"].inc()
-                        inc["windows"].inc()
-                        inc["events"].inc(num_events)
-                        inc["macs"].inc(self._last_inc_macs)
-                        self._checkpoint_session(stage)
-                        value, served_by = out, stage.name
-                        break
-                    # The fast path is now suspect: put it on probation
-                    # (its breaker opens after fastpath_policy's failure
-                    # threshold, then re-enables via half-open probes),
-                    # roll its session back to the last good checkpoint,
-                    # and recompute this window through the stage's
-                    # windowed predict.  Stage-level failure and breaker
-                    # bookkeeping belong to that windowed attempt, so
-                    # stage-breaker semantics match window mode exactly.
-                    inc_breaker.record_failure(
-                        ticket.index,
-                        nan_output=called,
-                        reason="" if called else out,
-                    )
-                    self._recover_session(stage)
-                    inc["fallbacks"].inc()
-                cost = self.service.service_us(num_events)
+                cost = self.service.service_us(len(ticket.stream))
                 m["calls"].inc()
                 m["busy_us"].inc(cost)
                 obs.stage_start(stage.name, ticket.index)
-                # Fast-path-capable stages label their windowed calls
-                # [recompute] in event mode, so traces separate the two
-                # regimes; everything else keeps the window-mode name.
-                span_name = (
-                    f"call:{stage.name}[recompute]"
-                    if stage.name in self._inc_m
-                    else f"call:{stage.name}"
-                )
-                with obs.tracer.span(span_name):
+                with obs.tracer.span(f"call:{stage.name}"):
                     self._clock += cost
                     called, out = _call(lambda: stage.predict(ticket.stream))
                 ok = called and not is_bad_output(out)
@@ -676,11 +436,7 @@ class StreamingExecutor:
                     reason="" if nan_trip else out,
                 )
             if served_by is None and self.use_last_good and self.last_good is not None:
-                cache_cost = (
-                    self.service.cache_us
-                    if self.service.cache_us is not None
-                    else self.service.base_us
-                )
+                cache_cost = self.service.base_us
                 m = self._stage_m[LAST_GOOD_STAGE]
                 m["calls"].inc()
                 m["successes"].inc()
@@ -814,8 +570,8 @@ class StreamingExecutor:
         Returns:
             The balanced :class:`~repro.streaming.report.StreamReport`.
         """
-        if load_factor <= 0:
-            raise ValueError("load_factor must be positive")
+        if not (math.isfinite(load_factor) and load_factor > 0):
+            raise ValueError("load_factor must be finite and positive")
         report = self._reset()
         report.load_factor = float(load_factor)
         windows = (
@@ -876,24 +632,6 @@ class StreamingExecutor:
             for name, m in self._stage_m.items()
             if m["served"].value > 0
         }
-        report.incremental_windows = sum(
-            int(m["windows"].value) for m in self._inc_m.values()
-        )
-        report.incremental_events = sum(
-            int(m["events"].value) for m in self._inc_m.values()
-        )
-        report.incremental_macs = sum(
-            int(m["macs"].value) for m in self._inc_m.values()
-        )
-        report.incremental_fallbacks = sum(
-            int(m["fallbacks"].value) for m in self._inc_m.values()
-        )
-        report.incremental_refusals = sum(
-            int(m["refusals"].value) for m in self._inc_m.values()
-        )
-        report.incremental_restores = sum(
-            int(m["restores"].value) for m in self._inc_m.values()
-        )
 
     def snapshot(self) -> dict[str, Any]:
         """Deterministic instrumentation snapshot of the latest run.

@@ -98,17 +98,6 @@ class StreamReport:
         predictions: window index → delivered prediction.
         max_queue_depth: deepest the ingest queue got.
         duration_us: virtual time span of the run.
-        incremental_windows / incremental_events / incremental_macs:
-            windows, events and multiply-accumulates served by the
-            per-event fast path (``serve_mode="event"``; zero in window
-            mode).  Fast-path windows are a subset of ``processed`` —
-            they do not change the conservation identities.
-        incremental_fallbacks: fast-path trips that were recomputed
-            through the windowed path on the same stage.
-        incremental_refusals: otherwise-eligible windows the open
-            fast-path probation breaker refused (served windowed).
-        incremental_restores: fast-path sessions rolled back to their
-            last good checkpoint after a trip.
     """
 
     window_us: int
@@ -132,12 +121,6 @@ class StreamReport:
     predictions: dict[int, Any] = field(default_factory=dict)
     max_queue_depth: int = 0
     duration_us: float = 0.0
-    incremental_windows: int = 0
-    incremental_events: int = 0
-    incremental_macs: int = 0
-    incremental_fallbacks: int = 0
-    incremental_refusals: int = 0
-    incremental_restores: int = 0
 
     # ------------------------------------------------------------------
     # Derived health metrics
@@ -256,12 +239,6 @@ class StreamReport:
             "max_queue_depth": self.max_queue_depth,
             "duration_us": self.duration_us,
             "num_predictions": len(self.predictions),
-            "incremental_windows": self.incremental_windows,
-            "incremental_events": self.incremental_events,
-            "incremental_macs": self.incremental_macs,
-            "incremental_fallbacks": self.incremental_fallbacks,
-            "incremental_refusals": self.incremental_refusals,
-            "incremental_restores": self.incremental_restores,
         }
 
 

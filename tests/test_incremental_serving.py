@@ -1,4 +1,4 @@
-"""Per-event incremental serving: session API + executor event mode."""
+"""Per-event incremental serving: the GNN session API."""
 
 import numpy as np
 import pytest
@@ -7,21 +7,22 @@ from repro.core import (
     CNNPipeline,
     GNNIncrementalSession,
     GNNPipeline,
-    IncrementalSession,
     NotFittedError,
+    ParadigmPipeline,
     SNNPipeline,
 )
 from repro.datasets import make_gestures_dataset
 from repro.events.ops import split_by_time
-from repro.gnn import GraphBuildConfig
 from repro.gnn.models import build_event_graph
 from repro.nn import no_grad
 from repro.observability import Instrumentation, validate_snapshot
 from repro.streaming import (
-    BreakerPolicy,
     ServiceModel,
     ShedPolicy,
     StreamingExecutor,
+    make_bursty_stream,
+    spatial_shed,
+    subsample_events,
 )
 
 WINDOW_US = 10_000
@@ -39,49 +40,58 @@ def gnn(dataset):
     return pipe
 
 
-def count_mod(stream):
-    return int(len(stream) % 4)
-
-
-def scrubbed(report):
-    """Report dict without the event-mode-only fast-path tallies."""
-    d = report.to_dict()
-    for key in (
-        "incremental_windows",
-        "incremental_events",
-        "incremental_macs",
-        "incremental_fallbacks",
-        "incremental_refusals",
-        "incremental_restores",
-    ):
-        d.pop(key)
-    return d
-
-
 class TestSessionAPI:
     def test_default_is_unsupported(self):
+        """Only the GNN paradigm offers a per-event session."""
+        assert not hasattr(ParadigmPipeline, "open_session")
         for pipe in (SNNPipeline(), CNNPipeline()):
-            assert pipe.supports_incremental is False
-            assert pipe.incremental_capacity is None
-            with pytest.raises(NotImplementedError):
-                pipe.open_session()
+            assert not hasattr(pipe, "open_session")
 
     def test_gnn_advertises_fast_path(self, gnn):
-        assert gnn.supports_incremental is True
-        assert gnn.incremental_capacity == gnn.config.max_events
+        session = gnn.open_session()
+        assert isinstance(session, GNNIncrementalSession)
+        engine = session.engine
+        assert engine.model is gnn.model
+        assert engine.radius == gnn.config.radius
+        assert engine.max_degree == gnn.config.max_degree
+        assert engine.max_live_nodes is None  # exact (unbounded) by default
 
     def test_open_session_requires_fit(self):
         with pytest.raises(NotFittedError):
             GNNPipeline().open_session()
 
     def test_session_bit_equal_to_windowed_predict(self, gnn, dataset):
-        """The tentpole invariant: same events, same bits, per window."""
+        """The tentpole invariant: same events, same bits, per window.
+
+        Inputs are the recording's windows plus the windows load
+        shedding produces from a bursty stream (subsampled and
+        spatially pooled), so equality holds on transformed input too.
+        """
         session = gnn.open_session()
-        assert isinstance(session, IncrementalSession)
-        stream = dataset.samples[0].stream
-        for window in split_by_time(stream, WINDOW_US):
-            if not 0 < len(window) <= gnn.incremental_capacity:
+        assert isinstance(session, GNNIncrementalSession)
+        bursty = list(
+            split_by_time(
+                make_bursty_stream(
+                    num_windows=25,
+                    window_us=WINDOW_US,
+                    base_events_per_window=40,
+                    burst_factor=4.0,
+                    burst_windows=(5, 15),
+                    seed=7,
+                ),
+                WINDOW_US,
+            )
+        )
+        windows = [
+            *split_by_time(dataset.samples[0].stream, WINDOW_US),
+            *(subsample_events(w, 0.5) for w in bursty),
+            *(spatial_shed(w, 2, refractory_us=1000) for w in bursty),
+        ]
+        checked = 0
+        for window in windows:
+            if not 0 < len(window) <= gnn.config.max_events:
                 continue
+            checked += 1
             session.reset()
             session.process_stream(window)
             graph = build_event_graph(window, gnn.config)
@@ -89,6 +99,7 @@ class TestSessionAPI:
                 batch_scores = gnn.model(graph).data[0]
             assert np.array_equal(session.scores(), batch_scores)
             assert session.predict() == gnn.predict(window)
+        assert checked > 50
 
     def test_predict_event_gives_running_decision(self, gnn, dataset):
         session = gnn.open_session()
@@ -140,38 +151,26 @@ class TestSessionAPI:
 
 
 class TestExecutorEventMode:
-    def _run(self, pipe, stream, mode, **kw):
-        defaults = dict(window_us=WINDOW_US, service=ServiceModel(100.0, 0.1))
-        defaults.update(kw)
-        ex = StreamingExecutor(pipe, serve_mode=mode, **defaults)
-        return ex.run(stream), ex
-
-    def test_rejects_bad_mode(self, gnn):
-        with pytest.raises(ValueError):
-            StreamingExecutor(gnn, window_us=WINDOW_US, serve_mode="stream")
-
-    def test_event_mode_matches_window_mode(self, gnn, dataset):
-        stream = dataset.samples[0].stream
-        r_win, _ = self._run(gnn, stream, "window")
-        r_evt, ex = self._run(gnn, stream, "event")
-        assert r_evt.predictions == r_win.predictions
-        assert scrubbed(r_evt) == scrubbed(r_win)
-        assert r_evt.incremental_windows == r_evt.processed > 0
-        assert r_evt.incremental_events == r_evt.processed_events
-        assert r_evt.incremental_macs > 0
-        assert r_evt.incremental_fallbacks == 0
-        assert r_evt.accounting_errors() == []
-        # Window mode reports no fast-path work at all.
-        assert r_win.incremental_windows == r_win.incremental_macs == 0
-        # The fast path traces under its own span name.
-        import json
-
-        blob = json.dumps(ex.snapshot())
-        assert "call:GNN[incremental]" in blob
+    """Per-event serving through the executor as a caller-built stage."""
 
     def test_equivalence_under_tiered_shedding(self, gnn):
-        """Same decisions and same shed/expiry record in both modes."""
-        from repro.streaming import make_bursty_stream
+        """Same decisions and same shed/expiry record as windowed serving.
+
+        The event stage replays every served (possibly shed) window
+        through one session, resetting at window boundaries; windows
+        beyond the batch builder's ``max_events`` are recomputed
+        windowed, since only within capacity are the two bit-equal.
+        """
+        session = gnn.open_session()
+        replayed = []
+
+        def serve_per_event(window):
+            if not 0 < len(window) <= gnn.config.max_events:
+                return gnn.predict(window)
+            session.reset()
+            session.process_stream(window)
+            replayed.append(len(window))
+            return session.predict()
 
         stream = make_bursty_stream(
             num_windows=25,
@@ -182,96 +181,16 @@ class TestExecutorEventMode:
             seed=7,
         )
         kw = dict(
+            window_us=WINDOW_US,
             service=ServiceModel(base_us=2000.0, per_event_us=150.0),
             queue_capacity=4,
             shed_policy=ShedPolicy(high_watermark=2, low_watermark=1),
         )
-        r_win, _ = self._run(gnn, stream, "window", **kw)
-        r_evt, _ = self._run(gnn, stream, "event", **kw)
+        r_win = StreamingExecutor(gnn, **kw).run(stream)
+        r_evt = StreamingExecutor((gnn.name, serve_per_event), **kw).run(stream)
         assert r_win.ledger.total_events_shed > 0  # shedding really engaged
         assert len(r_win.tiers_engaged) >= 2
         assert r_evt.predictions == r_win.predictions
-        assert scrubbed(r_evt) == scrubbed(r_win)
-        assert r_evt.incremental_windows > 0
+        assert r_evt.to_dict() == r_win.to_dict()
+        assert replayed  # the per-event path really served windows
         assert r_evt.accounting_errors() == []
-
-    def test_oversize_windows_fall_back_to_windowed(self, dataset):
-        """Windows beyond incremental_capacity are recomputed windowed."""
-        small = GNNPipeline(
-            config=GraphBuildConfig(
-                radius=4.0, time_scale_us=5000.0, max_events=8, max_degree=10
-            ),
-            epochs=1,
-            seed=0,
-        )
-        small.fit(dataset)
-        stream = dataset.samples[0].stream  # windows far larger than 8
-        r_win, _ = self._run(small, stream, "window")
-        r_evt, ex = self._run(small, stream, "event")
-        assert r_evt.predictions == r_win.predictions
-        assert r_evt.incremental_windows == 0
-        assert r_evt.processed > 0
-        import json
-
-        blob = json.dumps(ex.snapshot())
-        assert "call:GNN[recompute]" in blob
-        assert "call:GNN[incremental]" not in blob
-
-    def test_fast_path_trip_recomputes_windowed(self, gnn, dataset):
-        """A broken fast path falls back to windowed on the same stage."""
-
-        class BrokenFastPath(GNNPipeline):
-            def open_session(self):
-                raise RuntimeError("fast path down")
-
-        broken = BrokenFastPath(epochs=1, seed=0)
-        broken.model = gnn.model  # reuse the fitted weights
-        broken._resolution = gnn._resolution
-        stream = dataset.samples[0].stream
-        r_win, _ = self._run(gnn, stream, "window")
-        r_evt, _ = self._run(broken, stream, "event")
-        # Every attempt trips the fast path until its probation breaker
-        # opens at the policy threshold; the open breaker then refuses
-        # the remaining eligible windows.  Either way each window is
-        # served by the GNN stage through windowed recompute.
-        threshold = BreakerPolicy().failure_threshold
-        assert r_evt.incremental_fallbacks == threshold
-        assert r_evt.incremental_refusals == r_evt.processed - threshold
-        assert r_evt.incremental_windows == 0
-        assert r_evt.predictions == r_win.predictions
-        assert r_evt.served_by == {"GNN": r_evt.processed}
-        assert r_evt.accounting_errors() == []
-
-    def test_breaker_forces_fallback_to_windowed_stage(self, gnn, dataset):
-        """When the whole stage dies, the breaker routes to the fallback."""
-
-        class DeadStage(GNNPipeline):
-            def open_session(self):
-                raise RuntimeError("down")
-
-            def _predict(self, stream):
-                raise RuntimeError("down")
-
-        dead = DeadStage(epochs=1, seed=0)
-        dead.model = gnn.model
-        dead._resolution = gnn._resolution
-        stream = dataset.samples[0].stream
-        report, ex = self._run(
-            dead,
-            stream,
-            "event",
-            fallbacks=[("backup", count_mod)],
-            breaker_policy=BreakerPolicy(failure_threshold=2, cooldown_calls=50),
-        )
-        # The fast path trips until its probation breaker opens at the
-        # shared threshold; by then the stage breaker (fed by the failing
-        # windowed recomputes) is open too, so later windows never reach
-        # the fast-path gate — no refusals are charged.
-        assert report.incremental_fallbacks == 2
-        assert report.incremental_refusals == 0
-        assert report.served_by == {"backup": report.processed}
-        assert report.processed == report.offered
-        assert any(
-            t.to_state.value == "open" for t in ex.breakers["GNN"].transitions
-        )
-        assert report.accounting_errors() == []

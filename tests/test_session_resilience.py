@@ -26,7 +26,6 @@ from repro.reliability import (
     run_incremental_robustness,
     session_robustness_scores,
 )
-from repro.streaming import BreakerPolicy, ServiceModel, StreamingExecutor
 
 WINDOW_US = 10_000
 RES = Resolution(48, 48)
@@ -420,118 +419,6 @@ class TestSessionCheckpoint:
         apply_session_fault(ClockSkew(skew_us=10_000_000), session, 0)
         with pytest.raises(ValueError):
             session.process_event(1, 1, int(stream.t[-1]) + 1, 1)
-
-
-class TestExecutorProbation:
-    def _run(self, pipe, stream, **kw):
-        defaults = dict(
-            window_us=WINDOW_US,
-            service=ServiceModel(100.0, 0.1),
-            serve_mode="event",
-        )
-        defaults.update(kw)
-        ex = StreamingExecutor(pipe, **defaults)
-        return ex.run(stream), ex
-
-    def _flaky(self, gnn, fail_windows):
-        """A pipeline whose fast-path sessions glitch on chosen windows."""
-
-        class FlakyFastPath(GNNPipeline):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                self.window_counter = 0
-
-            def open_session(self, **kw):
-                inner = super().open_session(**kw)
-                pipe = self
-
-                class Wrapper:
-                    def reset(self):
-                        pipe.window_counter += 1
-                        inner.reset()
-
-                    def process_event(self, *a):
-                        return inner.process_event(*a)
-
-                    def predict(self):
-                        if pipe.window_counter in fail_windows:
-                            raise RuntimeError("transient fast-path glitch")
-                        return inner.predict()
-
-                    def snapshot(self):
-                        return inner.snapshot()
-
-                    def restore(self, state):
-                        inner.restore(state)
-
-                    @property
-                    def macs_total(self):
-                        return inner.macs_total
-
-                return Wrapper()
-
-        flaky = FlakyFastPath(epochs=1, seed=0)
-        flaky.model = gnn.model
-        flaky._resolution = gnn._resolution
-        return flaky
-
-    def test_tripped_fast_path_reenables_via_half_open_probe(
-        self, gnn, dataset
-    ):
-        """Acceptance: probation re-enables the fast path after probes."""
-        stream = dataset.samples[0].stream  # 5 windows of 10 ms
-        flaky = self._flaky(gnn, fail_windows={1, 2})
-        policy = BreakerPolicy(
-            failure_threshold=2,
-            cooldown_calls=2,
-            probe_probability=1.0,
-            success_threshold=1,
-        )
-        r_win, _ = self._run(gnn, stream, serve_mode="window")
-        r_evt, ex = self._run(flaky, stream, fastpath_policy=policy)
-        # Windows 1-2 trip and open the probation breaker, at least one
-        # window is refused during cooldown, then a seeded half-open
-        # probe succeeds and the fast path serves again.
-        assert r_evt.incremental_fallbacks == 2
-        assert r_evt.incremental_refusals >= 1
-        assert r_evt.incremental_windows >= 1
-        states = [
-            t.to_state.value for t in ex.inc_breakers["GNN"].transitions
-        ]
-        assert states[:2] == ["open", "half_open"]
-        assert "closed" in states
-        # Decisions never degraded: recomputes served the glitched windows.
-        assert r_evt.predictions == r_win.predictions
-        assert r_evt.accounting_errors() == []
-
-    def test_failure_after_success_restores_last_good_checkpoint(
-        self, gnn, dataset
-    ):
-        stream = dataset.samples[0].stream
-        flaky = self._flaky(gnn, fail_windows={3})
-        r_win, _ = self._run(gnn, stream, serve_mode="window")
-        r_evt, ex = self._run(flaky, stream)
-        assert r_evt.incremental_restores == 1
-        assert r_evt.incremental_fallbacks == 1
-        assert r_evt.incremental_windows == r_evt.processed - 1
-        assert r_evt.predictions == r_win.predictions
-        assert ex.inc_breakers["GNN"].state.value == "closed"
-
-    def test_healthy_run_has_empty_probation_footprint(self, gnn, dataset):
-        stream = dataset.samples[0].stream
-        report, ex = self._run(gnn, stream)
-        assert report.incremental_refusals == 0
-        assert report.incremental_restores == 0
-        assert report.incremental_fallbacks == 0
-        assert ex.inc_breakers["GNN"].transitions == []
-
-    def test_session_kwargs_reach_open_session(self, gnn, dataset):
-        stream = dataset.samples[0].stream
-        report, ex = self._run(
-            gnn, stream, session_kwargs={"max_live_nodes": 512}
-        )
-        assert report.incremental_windows == report.processed
-        assert ex.sessions["GNN"].engine.max_live_nodes == 512
 
 
 class TestIncrementalRobustnessSweep:

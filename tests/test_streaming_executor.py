@@ -64,6 +64,20 @@ class TestServiceModel:
         with pytest.raises(ValueError):
             ServiceModel(base_us=-1.0)
 
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            {"base_us": float("nan")},
+            {"per_event_us": float("nan")},
+            {"base_us": float("inf")},
+            {"per_event_us": float("inf")},
+        ],
+        ids=["base_nan", "per_event_nan", "base_inf", "per_event_inf"],
+    )
+    def test_rejects_non_finite_costs(self, costs):
+        with pytest.raises(ValueError):
+            ServiceModel(**costs)
+
 
 class TestStreamingExecutor:
     def test_healthy_underload_processes_everything(self):
@@ -257,6 +271,15 @@ class TestStreamingExecutor:
         ex = StreamingExecutor(count_mod, window_us=10)
         with pytest.raises(ValueError):
             ex.run([], load_factor=0.0)
+
+    @pytest.mark.parametrize("load_factor", [float("nan"), float("inf")])
+    def test_rejects_non_finite_load_factor(self, load_factor):
+        ex = StreamingExecutor(count_mod, window_us=1000)
+        ex.run(steady_windows(5))
+        before = ex.snapshot()
+        with pytest.raises(ValueError):
+            ex.run(steady_windows(5), load_factor=load_factor)
+        assert ex.snapshot() == before  # rejected before any state changed
 
 
 class TestBurstDemo:
