@@ -241,9 +241,11 @@ class AsyncEventGNN:
         bounded mode — and the running readout).
 
         In bounded mode every term is fixed at construction, so this
-        gauge is the same from the first event to the last.  Hash-bucket
-        dict overhead is excluded; it is bounded by the same live-set
-        invariant.
+        gauge is the same from the first event to the last.  The
+        inserter's hash buckets are excluded: each entry holds a node's
+        id, timestamp and scaled position (40 B, plus array and dict
+        overhead), and bounded mode prunes them to at most
+        ``2 * max_live_nodes`` entries.
         """
         return self._inserter.state_bytes() + self._running_max.nbytes
 

@@ -260,10 +260,11 @@ class _InserterBase:
         window_us: int = 50_000,
         max_neighbours: int = 16,
     ) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if time_scale_us <= 0:
-            raise ValueError("time_scale_us must be positive")
+        # ``not x > 0`` also rejects nan; isfinite rejects inf.
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError("radius must be positive and finite")
+        if not (time_scale_us > 0 and math.isfinite(time_scale_us)):
+            raise ValueError("time_scale_us must be positive and finite")
         if window_us <= 0:
             raise ValueError("window_us must be positive")
         if max_neighbours <= 0:
@@ -341,7 +342,12 @@ class _InserterBase:
         return np.sort(ids)  # sort-ok: unique ids
 
     def insert(self, x: float, y: float, t_us: int) -> int:
-        """Insert one event; returns its node index."""
+        """Insert one event; returns its node index.
+
+        Raises:
+            ValueError: if ``t_us`` precedes the last inserted node's
+                timestamp — before any state changes.
+        """
         raise NotImplementedError
 
     def insert_stream(self, xs, ys, ts) -> None:
@@ -354,6 +360,7 @@ class NaiveInserter(_InserterBase):
     """O(live-set) insertion: scan every live node per event."""
 
     def insert(self, x: float, y: float, t_us: int) -> int:
+        self.window.check_order(t_us)
         p = self._point(x, y, t_us)
         w = self.window
         live = np.nonzero(w.t[: w.count] >= t_us - self.window_us)[0]
@@ -397,6 +404,7 @@ class KDTreeInserter(_InserterBase):
         self.stats.tree_builds += 1
 
     def insert(self, x: float, y: float, t_us: int) -> int:
+        self.window.check_order(t_us)
         p = self._point(x, y, t_us)
         w = self.window
         new_index = w.count
@@ -464,22 +472,28 @@ class HashInserter(_InserterBase):
     independent of both the sensor size and the liveness-window length.
 
     Live nodes are held in two interchangeable forms: per-event
-    :meth:`insert` appends to dict buckets of ``array("q")`` ids (one
-    memcpy each when a lookup merges them), while
-    :meth:`insert_many` stores each slice as a *block* — a
-    cell-key-sorted id array per time-cell — so batched insertion never
-    pays per-bucket Python bookkeeping.  Lookups (either path) probe
-    both forms; both expire per time-cell.
+    :meth:`insert` appends to dict buckets that carry each node's
+    candidate columns — an ``array("q")`` of ids, one of raw
+    timestamps and an ``array("d")`` of interleaved scaled
+    ``(x, y, t)`` — 40 B per node, so a lookup merges a bucket with one
+    memcpy per column and filters on liveness and radius in one pass
+    without reading the :class:`LiveWindow`.  :meth:`insert_many`
+    stores each slice as a *block* — a cell-key-sorted id array per
+    time-cell — so batched insertion never pays per-bucket Python
+    bookkeeping; a per-event lookup reads a block hit's columns from
+    the (grow-mode) window.  Lookups probe both forms; both expire per
+    time-cell.
 
     Over a ring-mode :class:`LiveWindow` the inserter's own state is
     fixed too — EvGNN-style bounded graph memory (arXiv 2404.19489).
     The owner evicts through the window before each insertion; lookups
-    skip ids below ``window.start`` (their ring rows may hold newer
-    nodes); hash buckets are pruned of evicted ids once per
-    ``capacity`` evictions; and no edge log is kept: the owner inserts
-    one event at a time and takes each event's edges through its own
-    sink, so the public :meth:`insert` and :meth:`insert_many` are
-    unsupported.
+    skip ids below ``window.start`` (a node evicted for the cap may
+    still be young enough to pass the time filter); hash buckets are
+    pruned of evicted ids once per ``capacity`` evictions, so they never
+    hold more than ``2 * capacity`` entries (at most 80 B per ring row);
+    and no edge log is kept: the owner inserts one event at a time and
+    takes each event's edges through its own sink, so the public
+    :meth:`insert` and :meth:`insert_many` are unsupported.
 
     Args:
         window: the empty node store to insert into (its owner's
@@ -488,8 +502,11 @@ class HashInserter(_InserterBase):
 
     def __init__(self, *args, window: LiveWindow | None = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # time-cell index -> {(cx, cy): ascending node ids}   (per-event inserts)
-        self._tcells: dict[int, dict[tuple[int, int], array]] = {}
+        # time-cell index -> {(cx, cy): (ascending node ids, their raw
+        # timestamps, their interleaved scaled x, y, t)}  (per-event inserts)
+        self._tcells: dict[
+            int, dict[tuple[int, int], tuple[array, array, array]]
+        ] = {}
         # time-cell index -> [(sorted packed-xy keys, node ids)]  (batches)
         self._tblocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._min_tcell: int | None = None
@@ -518,9 +535,12 @@ class HashInserter(_InserterBase):
         live = self._tcells.keys() | self._tblocks.keys()
         self._min_tcell = min(live) if live else None
 
-    def _gather(self, cx: int, cy: int, ct: int, cutoff: int) -> np.ndarray:
-        """Candidate node ids from the ≤18 reachable buckets, time-filtered."""
-        merged = array("q")
+    def _gather(
+        self, cx: int, cy: int, ct: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node in the ≤18 reachable buckets, unfiltered: ids,
+        raw timestamps and ``(M, 3)`` scaled positions."""
+        ids, ts, pos = array("q"), array("q"), array("d")
         parts: list[np.ndarray] = []
         probes: np.ndarray | None = None
         for tc in (ct - 1, ct):
@@ -529,8 +549,10 @@ class HashInserter(_InserterBase):
                 for dx in (-1, 0, 1):
                     for dy in (-1, 0, 1):
                         bucket = grid.get((cx + dx, cy + dy))
-                        if bucket:
-                            merged.extend(bucket)
+                        if bucket is not None:
+                            ids.extend(bucket[0])
+                            ts.extend(bucket[1])
+                            pos.extend(bucket[2])
             blocks = self._tblocks.get(tc)
             if blocks:
                 if probes is None:
@@ -558,38 +580,85 @@ class HashInserter(_InserterBase):
                         if b > a:
                             parts.append(ids_b[a:b])
             probes = None  # probe validity is per-tc loop iteration only
-        if merged:
-            parts.append(np.frombuffer(merged, dtype=np.int64))
+        rows = (
+            np.frombuffer(ids, dtype=np.int64),
+            np.frombuffer(ts, dtype=np.int64),
+            np.frombuffer(pos, dtype=np.float64).reshape(-1, 3),
+        )
         if not parts:
-            return np.zeros(0, dtype=np.int64)
-        ids = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            return rows
+        # Block hits: blocks only exist in grow mode, where node i sits
+        # in row i, so their columns come straight from the window.
+        hits = np.concatenate(parts)
         w = self.window
-        if w.start:
-            # Must run before the time filter: a cap-evicted id's ring
-            # row may hold a newer node whose timestamp passes the
-            # cutoff, so the time filter alone would admit garbage.
-            ids = ids[ids >= w.start]
-        ids = ids[w.t[w.rows(ids)] >= cutoff]
-        self.stats.candidates_examined += ids.size
-        return ids
+        return (
+            np.concatenate((hits, rows[0])),
+            np.concatenate((w.t[hits], rows[1])),
+            np.concatenate((w.pos[hits], rows[2])),
+        )
 
     def _insert_cells(
         self, p: np.ndarray, t_us: int, cx: int, cy: int, ct: int, sink
     ) -> int:
         self._expire(ct)
-        ids = self._gather(cx, cy, ct, t_us - self.window_us)
-        w = self.window
-        if ids.size:
-            ids = self._select_edges(ids, w.pos[w.rows(ids)], p)
+        ids = self._select(*self._gather(cx, cy, ct), p, t_us - self.window_us)
         new_index = self._append_node(p, t_us)
         if ids.size:
             sink(ids, new_index)
         grid = self._tcells.setdefault(ct, {})
-        grid.setdefault((cx, cy), array("q")).append(new_index)
+        bucket = grid.get((cx, cy))
+        if bucket is None:
+            bucket = grid[(cx, cy)] = (array("q"), array("q"), array("d"))
+        bucket[0].append(new_index)
+        bucket[1].append(t_us)
+        bucket[2].extend(p.tolist())
         if self._min_tcell is None or ct < self._min_tcell:
             self._min_tcell = ct
         self.stats.events_inserted += 1
         return new_index
+
+    def _select(
+        self,
+        ids: np.ndarray,
+        ts: np.ndarray,
+        pos: np.ndarray,
+        p: np.ndarray,
+        cutoff: int,
+    ) -> np.ndarray:
+        """:meth:`_select_edges` over gathered rows, in one filter pass.
+
+        Same edges and stats as the oracle: candidates are counted after
+        the start and time filters, and only the survivors at or below
+        the ``max_neighbours``-th smallest ``dist2`` reach the
+        ``(dist2, id)`` lexsort, so ties resolve exactly as there.
+        """
+        keep = ts >= cutoff
+        start = self.window.start
+        if start:
+            # A cap-evicted node can still be young enough to pass the
+            # time filter.
+            keep &= ids >= start
+        self.stats.candidates_examined += int(np.count_nonzero(keep))
+        # Column by column: a broadcast ``pos - p`` runs one 3-wide
+        # inner loop per row, about twice as slow.
+        d = np.empty_like(pos)
+        np.subtract(pos[:, 0], p[0], out=d[:, 0])
+        np.subtract(pos[:, 1], p[1], out=d[:, 1])
+        np.subtract(pos[:, 2], p[2], out=d[:, 2])
+        # The oracle's reduction: (d*d).sum(1) or a transposed einsum
+        # can differ from it in the last bit.
+        dist2 = np.einsum("ij,ij->i", d, d)
+        keep &= dist2 <= self.radius * self.radius
+        ids = ids[keep]
+        k = self.max_neighbours
+        if ids.size > k:
+            dist2 = dist2[keep]
+            near = dist2 <= np.partition(dist2, k - 1)[k - 1]
+            ids = ids[near]
+            if ids.size > k:
+                ids = ids[np.lexsort((ids, dist2[near]))[:k]]
+        self.stats.edges_created += ids.size
+        return np.sort(ids)  # sort-ok: unique ids
 
     def insert(self, x: float, y: float, t_us: int) -> int:
         if self.window.capacity is not None:
@@ -597,6 +666,7 @@ class HashInserter(_InserterBase):
                 "a ring-mode window keeps no edge log; its owner takes edges "
                 "per event"
             )
+        self.window.check_order(t_us)
         return self._insert_one(x, y, t_us, self._append_edges)
 
     def _insert_one(self, x: float, y: float, t_us: int, sink) -> int:
@@ -614,9 +684,11 @@ class HashInserter(_InserterBase):
         """Ring mode: drop evicted ids from the hash buckets.
 
         Runs once per ``capacity`` evictions, so its full-bucket scan
-        amortises to O(1) per event while bounding bucket memory to the
-        live set (lookups already skip evicted ids, so pruning affects
-        memory only, never results).
+        amortises to O(1) per event while bounding the buckets to
+        ``2 * capacity`` entries: every entry has an id of at least the
+        last prune's ``window.start``, and fewer than ``capacity`` ids
+        lie between it and the live set (lookups already skip evicted
+        ids, so pruning affects memory only, never results).
         """
         floor = self.window.start
         if floor - self._prune_floor < self.window.capacity:
@@ -624,12 +696,12 @@ class HashInserter(_InserterBase):
         for tc in list(self._tcells):
             grid = self._tcells[tc]
             for key in list(grid):
-                bucket = grid[key]
-                cut = bisect_left(bucket, floor)  # ids ascend in a bucket
-                if cut == len(bucket):
+                ids, ts, pos = grid[key]
+                cut = bisect_left(ids, floor)  # ids ascend in a bucket
+                if cut == len(ids):
                     del grid[key]
-                else:
-                    del bucket[:cut]
+                elif cut:
+                    del ids[:cut], ts[:cut], pos[: 3 * cut]
             if not grid:
                 del self._tcells[tc]
         live = self._tcells.keys() | self._tblocks.keys()
@@ -757,8 +829,8 @@ class HashInserter(_InserterBase):
             for (bx, by), bucket in grid.items():
                 if not (x_lo <= bx <= x_hi and y_lo <= by <= y_hi):
                     continue
-                m = len(bucket)
-                id_parts.append(np.array(bucket, dtype=np.int64))
+                m = len(bucket[0])
+                id_parts.append(np.array(bucket[0], dtype=np.int64))
                 cx_parts.append(np.full(m, bx, dtype=np.int64))
                 cy_parts.append(np.full(m, by, dtype=np.int64))
                 ct_parts.append(np.full(m, tc, dtype=np.int64))

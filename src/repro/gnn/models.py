@@ -9,6 +9,7 @@ and parameters" relative to dense-frame CNNs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,10 @@ class GraphBuildConfig:
         return 4 if self.include_position else 2
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or self.time_scale_us <= 0:
-            raise ValueError("radius and time_scale_us must be positive")
+        # ``not x > 0`` also rejects nan; isfinite rejects inf.
+        scales = (self.radius, self.time_scale_us)
+        if not all(v > 0 and math.isfinite(v) for v in scales):
+            raise ValueError("radius and time_scale_us must be positive and finite")
         if self.max_events <= 0 or self.max_degree <= 0:
             raise ValueError("max_events and max_degree must be positive")
         if self.representation not in ("dense", "compact"):

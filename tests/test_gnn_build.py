@@ -315,6 +315,29 @@ class TestIncrementalInserters:
         with pytest.raises(ValueError):
             NaiveInserter(radius=1, max_neighbours=0)
 
+    @pytest.mark.parametrize("cls", [NaiveInserter, KDTreeInserter, HashInserter])
+    def test_per_event_insert_rejects_out_of_order(self, cls):
+        ins = self._make(cls)
+        ins.insert(1.0, 1.0, 100)
+        ins.insert(1.0, 1.0, 200)
+        before = (ins.num_nodes, ins.edges().tolist(), dataclasses.replace(ins.stats))
+        with pytest.raises(ValueError, match="out-of-order"):
+            ins.insert(1.0, 1.0, 50)
+        assert (ins.num_nodes, ins.edges().tolist(), ins.stats) == before
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["radius", "time_scale_us"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda **kw: HashInserter(**{"radius": 1.0, **kw}), id="inserter"),
+            pytest.param(GraphBuildConfig, id="config"),
+        ],
+    )
+    def test_non_finite_scales_rejected(self, make, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(**{field: value})
+
     @given(st.integers(5, 60), st.integers(0, 30))
     @settings(max_examples=15, deadline=None)
     def test_hash_equals_naive_property(self, n, seed):
@@ -442,7 +465,11 @@ class TestCausalEdgeKernel:
             y = rng.integers(0, 4, t.size).astype(float)
             sliced.insert_many(x, y, t)
             for xi, yi, ti in zip(x, y, t):
-                per_event.insert(float(xi), float(yi), int(ti))
+                # The public insert() rejects the restart; its unchecked
+                # core is the per-event reference here.
+                per_event._insert_one(
+                    float(xi), float(yi), int(ti), per_event._append_edges
+                )
         np.testing.assert_array_equal(sliced.edges(), per_event.edges())
         assert sliced.stats == per_event.stats
 
@@ -473,6 +500,60 @@ class TestBuilderRejectsOutOfOrder:
         with pytest.raises(ValueError, match="uint16"):
             b.extend([1, 70_000], [1, 1], [300, 400], [1, 1])
         assert state() == before
+
+
+class TestRingModeOracle:
+    """A bounded builder's per-event edges after many capacity evictions
+    equal a brute-force nearest-k over the live ids ``[start, count)``,
+    and its hash buckets keep the once-per-capacity prune contract."""
+
+    def test_bounded_builder_matches_brute_force(self):
+        capacity, k, radius = 24, 6, 3.0
+        rng = np.random.default_rng(0)
+        n = 1_500
+        xs = rng.integers(0, 8, n)
+        ys = rng.integers(0, 8, n)
+        # Steps of 1/16 time unit: exact distances, so ties are common,
+        # and ~100 events per two time-cells, so bucket memory is
+        # bounded by pruning, not by time-cell expiry.
+        ts = np.cumsum(rng.integers(0, 3, n) * 125)
+        b = CompactGraphBuilder(
+            radius=radius,
+            time_scale_us=2000.0,
+            max_degree=k,
+            quantization_bits=0,
+            max_live_nodes=capacity,  # the window outlives the stream
+        )
+        pos = np.stack([xs, ys, ts / 2000.0], axis=1).astype(np.float64)
+        capped = straddling = most_entries = 0
+        for i in range(n):
+            b.append(int(xs[i]), int(ys[i]), int(ts[i]), 1)
+            g = b.graph()
+            start = b.live_start
+            got = np.sort(g.edges[g.edges[:, 1] == g.num_nodes - 1, 0] + start)
+
+            live = np.arange(start, i, dtype=np.int64)
+            d = pos[live] - pos[i]
+            dist2 = np.einsum("ij,ij->i", d, d)
+            near = dist2 <= radius * radius
+            ids, dist2 = live[near], dist2[near]
+            capped += ids.size > k
+            if ids.size > k:
+                ranked = np.sort(dist2)  # sort-ok: values
+                straddling += ranked[k - 1] == ranked[k]
+            want = np.sort(ids[np.lexsort((ids, dist2))[:k]])  # sort-ok: unique ids
+            np.testing.assert_array_equal(got, want, err_msg=f"event {i}")
+
+            entries = sum(
+                len(bucket[0])
+                for grid in b._inserter._tcells.values()
+                for bucket in grid.values()
+            )
+            assert entries <= 2 * capacity, f"event {i}: {entries} bucket entries"
+            most_entries = max(most_entries, entries)
+        assert b.live_start > 50 * capacity  # many capacity evictions
+        assert capped > n // 3 and straddling > 20  # the cap binds, on ties too
+        assert most_entries > capacity  # pruning, not expiry, bounds memory
 
 
 class TestGraphBuildMemoryBound:

@@ -145,6 +145,16 @@ class TestFilterOracles:
         )
 
 
+#: The inserter-equivalence workloads, as ``(seed, pixels)``: uniform
+#: float coordinates, where distance ties almost never occur, and
+#: integer pixels on an 8x8 sensor with timestamps in steps of 1/8 time
+#: unit, where the degree cap binds and equal ``dist2`` values fall on
+#: both sides of its k-th place (checked below).
+INSERTER_WORKLOADS = [pytest.param(s, False, id=str(s)) for s in range(4)] + [
+    pytest.param(s, True, id=f"pixels-{s}") for s in range(4)
+]
+
+
 class TestInserterEquivalence:
     """All insertion strategies build the same graph, by the same rules.
 
@@ -155,8 +165,12 @@ class TestInserterEquivalence:
 
     KW = dict(radius=3.0, time_scale_us=1000.0, window_us=30_000, max_neighbours=6)
 
-    def _workload(self, n, seed):
+    def _workload(self, n, seed, pixels=False):
         rng = np.random.default_rng(seed)
+        if pixels:
+            xs = rng.integers(0, 8, n).astype(np.float64)
+            ys = rng.integers(0, 8, n).astype(np.float64)
+            return xs, ys, np.cumsum(rng.integers(0, 3, n) * 125)
         xs = rng.uniform(-8.0, 24.0, n)  # negative coords included
         ys = rng.uniform(-8.0, 24.0, n)
         ts = np.cumsum(rng.integers(0, 2000, n))  # includes exact ties
@@ -168,9 +182,9 @@ class TestInserterEquivalence:
             ins.insert(float(x), float(y), int(t))
         return ins
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_insert_many_matches_per_event(self, seed):
-        xs, ys, ts = self._workload(250, seed)
+    @pytest.mark.parametrize("seed,pixels", INSERTER_WORKLOADS)
+    def test_insert_many_matches_per_event(self, seed, pixels):
+        xs, ys, ts = self._workload(250, seed, pixels)
         seq = self._run_sequential(HashInserter, xs, ys, ts)
         bat = HashInserter(**self.KW)
         idx = bat.insert_many(xs, ys, ts)
@@ -178,13 +192,32 @@ class TestInserterEquivalence:
         np.testing.assert_array_equal(seq.edges(), bat.edges())
         assert seq.stats == bat.stats
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_three_strategies_identical_edges(self, seed):
-        xs, ys, ts = self._workload(200, seed)
+    @pytest.mark.parametrize("seed,pixels", INSERTER_WORKLOADS)
+    def test_three_strategies_identical_edges(self, seed, pixels):
+        xs, ys, ts = self._workload(200, seed, pixels)
         naive = self._run_sequential(NaiveInserter, xs, ys, ts)
+        per_event = self._run_sequential(HashInserter, xs, ys, ts)
         hashed = HashInserter(**self.KW)
         hashed.insert_many(xs, ys, ts)
+        np.testing.assert_array_equal(naive.edges(), per_event.edges())
         np.testing.assert_array_equal(naive.edges(), hashed.edges())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pixel_workload_ties_straddle_the_cap(self, seed):
+        # The pixel workload must exercise what it is there for: events
+        # whose in-radius distances tie across the max_neighbours-th
+        # place, where only the id tie-break decides the edges.
+        xs, ys, ts = self._workload(200, seed, pixels=True)
+        pos = np.stack([xs, ys, ts / self.KW["time_scale_us"]], axis=1)
+        k, r = self.KW["max_neighbours"], self.KW["radius"]
+        straddling = 0
+        for i in range(1, xs.size):
+            past = np.flatnonzero(ts[:i] >= ts[i] - self.KW["window_us"])
+            d = pos[past] - pos[i]
+            dist2 = np.sort(np.einsum("ij,ij->i", d, d))  # sort-ok: values
+            dist2 = dist2[dist2 <= r * r]
+            straddling += dist2.size > k and dist2[k - 1] == dist2[k]
+        assert straddling >= 3
 
     @pytest.mark.parametrize("rebuild_every", [1, 7, 64, 1000])
     def test_kdtree_agrees_across_rebuild_boundaries(self, rebuild_every):
