@@ -265,10 +265,10 @@ class _InserterBase:
             raise ValueError("radius must be positive and finite")
         if not (time_scale_us > 0 and math.isfinite(time_scale_us)):
             raise ValueError("time_scale_us must be positive and finite")
-        if window_us <= 0:
-            raise ValueError("window_us must be positive")
-        if max_neighbours <= 0:
-            raise ValueError("max_neighbours must be positive")
+        if not (window_us > 0 and math.isfinite(window_us)):
+            raise ValueError("window_us must be positive and finite")
+        if not (max_neighbours > 0 and math.isfinite(max_neighbours)):
+            raise ValueError("max_neighbours must be positive and finite")
         self.radius = radius
         self.time_scale_us = time_scale_us
         self.window_us = window_us

@@ -17,7 +17,6 @@ supported (gradients are summed back over broadcast axes).
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,16 +31,16 @@ __all__ = [
 ]
 
 
-class _EngineState(threading.local):
-    """Per-thread autograd flags.
+class _EngineState:
+    """Module-wide autograd flags.
 
-    :class:`~repro.reliability.runner.StageGuard` runs timed pipeline
-    stages on daemon threads, and a stage that overruns its timeout is
-    abandoned while it may still be running.  ``no_grad``/``stable_matmul``
-    entered on such a thread must not leak into the caller's later
-    training, so both flags live in thread-local storage rather than
-    module globals.
+    ``no_grad``/``stable_matmul`` set a flag on entry and restore the
+    previous value on exit, also when the body raises.  No code in this
+    package runs the engine on a second thread, so the flags are plain
+    module state.
     """
+
+    __slots__ = ("grad_enabled", "stable_matmul")
 
     def __init__(self) -> None:
         self.grad_enabled = True

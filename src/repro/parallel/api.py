@@ -47,12 +47,7 @@ logger = logging.getLogger(__name__)
 # Sweep kind → the ``SweepSpec.options`` keys it accepts.
 _OPTIONS = {
     "comparison": (),
-    "robustness": (
-        "fault_profile",
-        "checkpoint_dir",
-        "max_retries",
-        "stage_timeout_s",
-    ),
+    "robustness": ("fault_profile", "checkpoint_dir"),
     "streaming": (
         "fallbacks",
         "service_models",
@@ -185,8 +180,7 @@ class SweepSpec:
             ``fault_profile``, ``checkpoint_dir`` (resume state and
             models go to its ``seed-{seed}`` subdirectory, and are
             reused only by a spec with the same pipelines, fault
-            profile and data),
-            ``max_retries``, ``stage_timeout_s``; streaming: ``fallbacks``,
+            profile and data); streaming: ``fallbacks``,
             ``service_models``, ``shed_policy``, ``breaker_policy``,
             ``queue_capacity``; comparison takes none.  Any other key
             raises ``ValueError``.
@@ -348,8 +342,6 @@ def _robustness_shard(task: dict[str, Any]) -> dict[str, Any]:
         seed=task["seed"],
         fault_profile=task["fault_profile"],
         checkpoint_dir=task["checkpoint_dir"],
-        max_retries=task["max_retries"],
-        stage_timeout_s=task["stage_timeout_s"],
         instrumentation=obs,
         done=done,
         on_point=on_point,
@@ -523,8 +515,6 @@ def _run_robustness(spec: SweepSpec, parallel: ParallelConfig) -> SweepResult:
         "seed": spec.seed,
         "fault_profile": fault_profile,
         "checkpoint_dir": checkpoint_dir,
-        "max_retries": options.get("max_retries", 1),
-        "stage_timeout_s": options.get("stage_timeout_s"),
         # Incremental state writes only in-process; pool workers
         # return their fresh points and the coordinator persists
         # atomically below.

@@ -10,7 +10,7 @@ infrastructure so that measurement can run unattended:
   out-of-order delivery);
 * :mod:`~repro.reliability.runner` — a hardened wrapper around the
   paradigm pipelines with per-recording validation + quarantine,
-  immediate retry, wall-clock stage timeouts and model checkpointing;
+  skip-and-record stage failures and model checkpointing;
 * :mod:`~repro.reliability.sweep` — the robustness sweep producing
   accuracy-degradation curves and the retained-accuracy scores that
   regenerate the Table-I robustness cell;
@@ -50,7 +50,6 @@ from .incremental import (
 )
 from .runner import (
     HardenedRunner,
-    StageGuard,
     RecordingOutcome,
     RecordingReport,
     RunReport,
@@ -88,7 +87,6 @@ __all__ = [
     "RecordingOutcome",
     "RecordingReport",
     "RunReport",
-    "StageGuard",
     "StageResult",
     "validate_sample",
     "default_fault_profile",

@@ -285,8 +285,8 @@ def run_incremental_robustness(
         fit_result = runner.fit(train)
         if not fit_result.ok:
             raise RuntimeError(
-                f"GNN pipeline failed to fit after {fit_result.attempts} "
-                f"attempt(s): {fit_result.error_type}: {fit_result.error_message}"
+                f"GNN pipeline failed to fit: "
+                f"{fit_result.error_type}: {fit_result.error_message}"
             )
     if audit is None:
         tolerance = 1e-6 if max_live_nodes is None else 100.0

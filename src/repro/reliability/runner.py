@@ -1,4 +1,4 @@
-"""Degradation-aware pipeline runner: validate, quarantine, retry, resume.
+"""Degradation-aware pipeline runner: validate, quarantine, resume.
 
 The paradigm pipelines (:mod:`repro.core.pipeline`) assume clean inputs
 and abort on the first malformed recording — acceptable in a unit test,
@@ -10,13 +10,12 @@ severities.  :class:`HardenedRunner` wraps ``fit`` / ``predict`` /
   against the :data:`~repro.events.stream.EVENT_DTYPE` invariants before
   it reaches the model; corrupted ones are quarantined with a reason
   instead of crashing the run;
-* **retry** — transient stage failures are retried immediately, a
-  configurable number of times;
-* **wall-clock stage timeouts** — a hung stage is abandoned (the worker
-  thread is left to finish in the background) and recorded as a timeout;
-* **skip-and-record semantics** — every recording produces a
+* **skip-and-record semantics** — each stage call runs once, and a
+  failing one is recorded rather than raised: every recording produces a
   :class:`RecordingReport` inside a structured :class:`RunReport`, so a
-  sweep always completes with an account of what happened;
+  sweep always completes with an account of what happened.  There is no
+  retry or wall-clock timeout: the pipelines and fault models are seeded
+  and deterministic, so a retry repeats the same failure;
 * **checkpointing** — fitted model state is persisted through
   :mod:`repro.nn.serialization`, so an interrupted sweep resumes without
   retraining.
@@ -24,7 +23,6 @@ severities.  :class:`HardenedRunner` wraps ``fit`` / ``predict`` /
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +43,6 @@ __all__ = [
     "RecordingOutcome",
     "RecordingReport",
     "RunReport",
-    "StageGuard",
     "StageResult",
     "HardenedRunner",
     "validate_sample",
@@ -58,7 +55,6 @@ class RecordingOutcome(str, Enum):
     OK = "ok"
     QUARANTINED = "quarantined"
     FAILED = "failed"
-    TIMEOUT = "timeout"
 
 
 @dataclass
@@ -71,9 +67,8 @@ class RecordingReport:
         outcome: what happened.
         predicted: model output (None unless outcome is OK).
         problems: validation problems that caused a quarantine.
-        error_type: exception class name for FAILED/TIMEOUT records.
-        error_message: exception message for FAILED/TIMEOUT records.
-        attempts: prediction attempts made (0 for quarantined records).
+        error_type: exception class name for FAILED records.
+        error_message: exception message for FAILED records.
         elapsed_s: wall-clock time spent on the recording.
     """
 
@@ -84,7 +79,6 @@ class RecordingReport:
     problems: list[str] = field(default_factory=list)
     error_type: str = ""
     error_message: str = ""
-    attempts: int = 0
     elapsed_s: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
@@ -97,7 +91,6 @@ class RecordingReport:
             "problems": list(self.problems),
             "error_type": self.error_type,
             "error_message": self.error_message,
-            "attempts": self.attempts,
             "elapsed_s": round(self.elapsed_s, 6),
         }
 
@@ -170,7 +163,6 @@ class StageResult:
         name: stage name.
         ok: whether the stage completed.
         value: the stage's return value when ok.
-        attempts: attempts made.
         error_type: exception class name when not ok.
         error_message: exception message when not ok.
         elapsed_s: wall-clock time spent.
@@ -179,7 +171,6 @@ class StageResult:
     name: str
     ok: bool
     value: Any = None
-    attempts: int = 0
     error_type: str = ""
     error_message: str = ""
     elapsed_s: float = 0.0
@@ -204,237 +195,68 @@ def validate_sample(sample: EventSample, expected_resolution) -> list[str]:
     return problems
 
 
-class _StageTimeout(Exception):
-    """Internal marker: a stage exceeded its wall-clock budget."""
-
-
-class StageGuard:
-    """Retry + wall-clock-timeout wrapper for one stage call.
-
-    The guarded-execution core of :class:`HardenedRunner`: run a
-    callable, retrying transient failures back to back, abandoning calls
-    that exceed a wall-clock budget, and always returning a structured
-    :class:`StageResult` instead of raising — except for
-    :class:`NotFittedError`, which is a configuration error no retry can
-    fix and is re-raised so callers fail fast.
-
-    Args:
-        max_retries: extra attempts after a failed call (0 = fail
-            immediately on first error).
-        timeout_s: wall-clock budget per call (None = no timeout).  A
-            timed-out call keeps running on its daemon worker thread but
-            its result is discarded — skip-and-record, never hang.
-        instrumentation: optional observability sink; every guarded
-            call is then traced as a ``guard:{stage}`` span, counted
-            into ``guard_calls_total`` / ``guard_attempts_total`` /
-            ``guard_failures_total`` / ``guard_timeouts_total`` and
-            surfaced through the ``on_stage_start/end`` hooks.
-        clock: the monotonic time source for ``elapsed_s`` measurements
-            (default ``time.monotonic``).  The sharded executor injects
-            a deterministic virtual clock here so reports are
-            byte-identical across backends; timeout enforcement always
-            uses real wall-clock time regardless.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_retries: int = 1,
-        timeout_s: float | None = None,
-        instrumentation: Instrumentation | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.max_retries = max_retries
-        self.timeout_s = timeout_s
-        self.instrumentation = instrumentation
-        self.clock = clock if clock is not None else time.monotonic
-
-    def _call_with_timeout(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn``, enforcing the wall-clock timeout.
-
-        The timed call runs on a daemon thread; on timeout the thread is
-        abandoned (it cannot be killed) and its eventual result
-        discarded, so the caller moves on instead of hanging.
-        """
-        if self.timeout_s is None:
-            return fn()
-        result: list[Any] = []
-        error: list[BaseException] = []
-
-        def target() -> None:
-            try:
-                result.append(fn())
-            except BaseException as exc:  # propagated to the caller below
-                error.append(exc)
-
-        worker = threading.Thread(target=target, daemon=True, name="repro-stage")
-        worker.start()
-        worker.join(self.timeout_s)
-        if worker.is_alive():
-            raise _StageTimeout(
-                f"stage exceeded {self.timeout_s}s wall-clock budget"
-            )
-        if error:
-            raise error[0]
-        return result[0]
-
-    def run(self, name: str, fn: Callable[[], Any]) -> StageResult:
-        """Run a stage with retry + timeout, never raising.
-
-        :class:`NotFittedError` is not retried — an unfitted pipeline is
-        a configuration error no retry can fix — and is re-raised so the
-        caller fails fast instead of burning the retry budget.
-        """
-        obs = self.instrumentation
-        if obs is None:
-            return self._execute(name, fn)
-        labels = {"stage": name}
-        reg = obs.registry
-        reg.counter(
-            "guard_calls_total", labels=labels, help="guarded stage calls"
-        ).inc()
-        obs.stage_start(name)
-        result: StageResult | None = None
-        try:
-            with obs.tracer.span(f"guard:{name}"):
-                result = self._execute(name, fn)
-            return result
-        except Exception:
-            # NotFittedError (and anything else escaping the guard) is a
-            # failed call even though no StageResult exists for it.
-            reg.counter(
-                "guard_failures_total",
-                labels=labels,
-                help="guarded stage calls that did not complete",
-            ).inc()
-            raise
-        finally:
-            if result is not None:
-                reg.counter(
-                    "guard_attempts_total",
-                    labels=labels,
-                    help="attempts across guarded stage calls",
-                ).inc(result.attempts)
-                if not result.ok:
-                    reg.counter(
-                        "guard_failures_total",
-                        labels=labels,
-                        help="guarded stage calls that did not complete",
-                    ).inc()
-                    if result.error_type == "TimeoutError":
-                        reg.counter(
-                            "guard_timeouts_total",
-                            labels=labels,
-                            help="guarded stage calls abandoned on timeout",
-                        ).inc()
-            obs.stage_end(name, ok=result is not None and result.ok)
-
-    def _execute(self, name: str, fn: Callable[[], Any]) -> StageResult:
-        """The uninstrumented retry/timeout loop."""
-        attempts = 0
-        start = self.clock()
-        last_exc: BaseException | None = None
-        while attempts <= self.max_retries:
-            attempts += 1
-            try:
-                value = self._call_with_timeout(fn)
-                return StageResult(
-                    name=name,
-                    ok=True,
-                    value=value,
-                    attempts=attempts,
-                    elapsed_s=self.clock() - start,
-                )
-            except NotFittedError:
-                raise
-            except _StageTimeout as exc:
-                # A hung stage will hang again: do not retry timeouts.
-                return StageResult(
-                    name=name,
-                    ok=False,
-                    attempts=attempts,
-                    error_type="TimeoutError",
-                    error_message=str(exc),
-                    elapsed_s=self.clock() - start,
-                )
-            except Exception as exc:
-                last_exc = exc
-        return StageResult(
-            name=name,
-            ok=False,
-            attempts=attempts,
-            error_type=type(last_exc).__name__,
-            error_message=str(last_exc),
-            elapsed_s=self.clock() - start,
-        )
-
-
 class HardenedRunner:
     """Fault-tolerant wrapper around one :class:`ParadigmPipeline`.
 
+    Each stage call runs once: the pipelines and fault models are seeded
+    and deterministic, so a retry would repeat the same failure.  A
+    failing call is recorded as a failed :class:`StageResult` (a FAILED
+    record for ``predict``) instead of raised, except
+    :class:`NotFittedError` — a configuration error, re-raised so the
+    caller fails fast.
+
     Args:
         pipeline: the pipeline to protect.
-        max_retries: extra attempts after a failed stage call (0 = fail
-            immediately on first error).
-        stage_timeout_s: wall-clock budget per stage call (None = no
-            timeout).  A timed-out stage keeps running on its worker
-            thread but its result is discarded and the stage recorded as
-            TIMEOUT — skip-and-record, never hang the sweep.
         checkpoint_path: where to persist fitted model state.  When the
             file exists, :meth:`fit` restores it (rebuilding the
             architecture with a zero-epoch fit) instead of retraining,
             which is what lets an interrupted sweep resume.
-        instrumentation: optional observability sink.  Stage calls are
-            guarded through an instrumented :class:`StageGuard` (spans +
-            ``guard_*`` counters) and every classified recording is
-            counted into ``runner_records_total{outcome=...}`` with the
-            ``on_window`` hook fired per terminal outcome.
+        instrumentation: optional observability sink, attached to the
+            pipeline (see :meth:`ParadigmPipeline.instrument`) so every
+            stage call is counted, timed and traced there.  Every
+            classified recording is counted into
+            ``runner_records_total{outcome=...}`` with the ``on_window``
+            hook fired per terminal outcome.
         clock: monotonic time source for ``elapsed_s`` measurements
-            (default ``time.monotonic``); see :class:`StageGuard`.
+            (default ``time.monotonic``).  The sharded executor injects a
+            deterministic virtual clock so reports are byte-identical
+            across backends.
     """
 
     def __init__(
         self,
         pipeline: ParadigmPipeline,
         *,
-        max_retries: int = 1,
-        stage_timeout_s: float | None = None,
         checkpoint_path: str | Path | None = None,
         instrumentation: Instrumentation | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        self._guard = StageGuard(
-            max_retries=max_retries,
-            timeout_s=stage_timeout_s,
-            instrumentation=instrumentation,
-            clock=clock,
-        )
+        if instrumentation is not None:
+            pipeline.instrument(instrumentation)
         self.pipeline = pipeline
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.resumed_from_checkpoint = False
         self.instrumentation = instrumentation
-        self.clock = self._guard.clock
-
-    # ------------------------------------------------------------------
-    # Guarded execution primitives (delegated to the shared StageGuard)
-    # ------------------------------------------------------------------
-    @property
-    def max_retries(self) -> int:
-        """Per-stage retry budget."""
-        return self._guard.max_retries
-
-    @property
-    def stage_timeout_s(self) -> float | None:
-        """Wall-clock budget per stage call."""
-        return self._guard.timeout_s
+        self.clock = clock if clock is not None else time.monotonic
 
     def _run_stage(self, name: str, fn: Callable[[], Any]) -> StageResult:
-        """Run a stage through the shared :class:`StageGuard`."""
-        return self._guard.run(name, fn)
+        """Run one stage call, recording any failure but NotFittedError."""
+        start = self.clock()
+        try:
+            value = fn()
+        except NotFittedError:
+            raise
+        except Exception as exc:
+            return StageResult(
+                name=name,
+                ok=False,
+                error_type=type(exc).__name__,
+                error_message=str(exc),
+                elapsed_s=self.clock() - start,
+            )
+        return StageResult(
+            name=name, ok=True, value=value, elapsed_s=self.clock() - start
+        )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -456,7 +278,8 @@ class HardenedRunner:
         The pipelines build their architecture inside ``fit`` (it depends
         on the dataset), so resume runs a zero-epoch fit to construct the
         untrained model, then loads the checkpointed parameters into it.
-        Any incompatibility (architecture drift, corrupt file) falls back
+        The zero-epoch fit calls ``_fit`` directly, so a resume records
+        no stage call on the instrumentation.  Any incompatibility (architecture drift, corrupt file) falls back
         to a full fit.
         """
         if self.checkpoint_path is None or not self.checkpoint_path.exists():
@@ -466,7 +289,7 @@ class HardenedRunner:
             return False
         try:
             self.pipeline.epochs = 0
-            self.pipeline.fit(train)
+            self.pipeline._fit(train)
             load_state(self.pipeline.model, self.checkpoint_path)
             return True
         except Exception:
@@ -504,7 +327,7 @@ class HardenedRunner:
 
         if resume and self._try_resume(train):
             self.resumed_from_checkpoint = True
-            return StageResult(name="fit", ok=True, attempts=0)
+            return StageResult(name="fit", ok=True)
         self.resumed_from_checkpoint = False
         result = self._run_stage("fit", lambda: self.pipeline.fit(train))
         if result.ok:
@@ -589,21 +412,14 @@ class HardenedRunner:
                 label=sample.label,
                 outcome=RecordingOutcome.OK,
                 predicted=int(stage.value),
-                attempts=stage.attempts,
                 elapsed_s=self.clock() - start,
             )
-        outcome = (
-            RecordingOutcome.TIMEOUT
-            if stage.error_type == "TimeoutError"
-            else RecordingOutcome.FAILED
-        )
         return RecordingReport(
             index=index,
             label=sample.label,
-            outcome=outcome,
+            outcome=RecordingOutcome.FAILED,
             error_type=stage.error_type,
             error_message=stage.error_message,
-            attempts=stage.attempts,
             elapsed_s=self.clock() - start,
         )
 
@@ -647,12 +463,12 @@ class HardenedRunner:
     def measure(
         self, test: EventDataset, temporal_labels: tuple[int, ...] = ()
     ) -> StageResult:
-        """Hardened ``pipeline.measure`` (retry/timeout, never raises).
+        """Hardened ``pipeline.measure`` (one call, never raises).
 
         Validation-failing recordings are excluded before measuring, so
         a corrupted test set degrades the measurement instead of killing
         it; the stage fails (recorded, not raised) only when nothing
-        valid remains or the pipeline itself errors repeatedly.
+        valid remains or the pipeline itself errors.
         """
         self.pipeline._require_fitted()
         clean_indices = [

@@ -6,7 +6,7 @@ it repeatedly under an escalating fault profile (dead/hot pixels, event
 drops, timestamp jitter, polarity flips, AER bit flips — the composable
 models of :mod:`repro.reliability.faults`) injected through the hardened
 runner.  Every recording that the faults render structurally invalid is
-quarantined, every recoverable failure is retried, and the sweep always
+quarantined, every failing stage call is recorded, and the sweep always
 completes with a full :class:`~repro.reliability.runner.RunReport` per
 point — so a single corrupted recording can no longer abort hours of
 training.
@@ -200,8 +200,6 @@ def run_paradigm_curve(
     seed: int = 0,
     fault_profile=default_fault_profile,
     checkpoint_dir: str | Path | None = None,
-    max_retries: int = 1,
-    stage_timeout_s: float | None = None,
     instrumentation=None,
     done: dict[str, dict[str, Any]] | None = None,
     on_point: Callable[[str, SweepPoint], None] | None = None,
@@ -224,7 +222,6 @@ def run_paradigm_curve(
         fault_profile: severity → fault-model mapping.
         checkpoint_dir: when given, the fitted model checkpoints to
             ``{name}_model.npz`` inside it.
-        max_retries / stage_timeout_s: hardened-runner budgets.
         instrumentation: optional observability sink for the runner.
         done: previously completed points (``{point_key: point_dict}``)
             to resume from instead of recomputing.
@@ -246,8 +243,6 @@ def run_paradigm_curve(
     done = done if done is not None else {}
     runner = HardenedRunner(
         pipeline,
-        max_retries=max_retries,
-        stage_timeout_s=stage_timeout_s,
         checkpoint_path=(
             _model_path(checkpoint_dir, name) if checkpoint_dir else None
         ),
@@ -257,8 +252,8 @@ def run_paradigm_curve(
     fit_result = runner.fit(train)
     if not fit_result.ok:
         raise RuntimeError(
-            f"{name} pipeline failed to fit after {fit_result.attempts} "
-            f"attempt(s): {fit_result.error_type}: {fit_result.error_message}"
+            f"{name} pipeline failed to fit: "
+            f"{fit_result.error_type}: {fit_result.error_message}"
         )
     points: list[SweepPoint] = []
     for level, severity in enumerate(severities):
@@ -307,7 +302,6 @@ def _point_from_dict(data: dict[str, Any]) -> SweepPoint:
                 problems=list(r["problems"]),
                 error_type=r["error_type"],
                 error_message=r["error_message"],
-                attempts=r["attempts"],
                 elapsed_s=r["elapsed_s"],
             )
             for r in report_data["records"]

@@ -211,7 +211,7 @@ class CircuitBreaker:
     def record_failure(
         self, at_window: int, *, nan_output: bool = False, reason: str = ""
     ) -> None:
-        """Report a failed stage call (exception, timeout or NaN output)."""
+        """Report a failed stage call (exception or NaN output)."""
         self.calls += 1
         self.failures += 1
         if nan_output:

@@ -25,7 +25,8 @@ accounting is exact — nothing is shed silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Any
 
@@ -84,6 +85,10 @@ class ShedPolicy:
     downsample_refractory_us: int = 1000
 
     def __post_init__(self) -> None:
+        # Checked first: every comparison below is False for nan.
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.low_watermark < 0:
             raise ValueError("low_watermark must be non-negative")
         if self.high_watermark <= self.low_watermark:

@@ -9,8 +9,6 @@ oracle check; speed is measured end to end by ``e2ebench/``, whose
 traced run times every model layer (``nn.layer_us.*``).
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,6 @@ from repro.nn import (
     cross_entropy_reference,
     log_softmax,
     log_softmax_reference,
-    no_grad,
     stable_matmul,
 )
 
@@ -234,42 +231,3 @@ class TestZeroCopyAerDecode:
         ref, ref_stats = enc.decode_with_stats_reference(words)
         np.testing.assert_array_equal(fast.raw, ref.raw)
         assert fast_stats == ref_stats
-
-
-class TestThreadLocalAutogradState:
-    def test_no_grad_is_per_thread(self):
-        inside = threading.Event()
-        release = threading.Event()
-        other_result = {}
-
-        def other_thread():
-            inside.wait(timeout=5)
-            # This thread never entered no_grad: graphs must build.
-            t = Tensor(np.ones(3), requires_grad=True)
-            other_result["requires_grad"] = (t * 2).requires_grad
-            release.set()
-
-        worker = threading.Thread(target=other_thread)
-        worker.start()
-        with no_grad():
-            inside.set()
-            assert release.wait(timeout=5)
-            t = Tensor(np.ones(3), requires_grad=True)
-            assert not (t * 2).requires_grad
-        worker.join()
-        assert other_result["requires_grad"] is True
-
-    def test_stable_matmul_is_per_thread(self):
-        results = {}
-
-        def worker():
-            # Flag set on the main thread must not leak here.
-            from repro.nn.tensor import is_stable_matmul
-
-            results["stable"] = is_stable_matmul()
-
-        with stable_matmul():
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert results["stable"] is False

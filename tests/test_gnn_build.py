@@ -26,6 +26,14 @@ from repro.gnn import (
 from repro.gnn.models import build_event_graph
 
 
+def _hash_inserter(**kwargs):
+    return HashInserter(**{"radius": 1.0, **kwargs})
+
+
+def _naive_inserter(**kwargs):
+    return NaiveInserter(**{"radius": 1.0, **kwargs})
+
+
 def random_points(n, seed=0, scale=20.0):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, scale, (n, 3))
@@ -326,12 +334,16 @@ class TestIncrementalInserters:
         assert (ins.num_nodes, ins.edges().tolist(), ins.stats) == before
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["radius", "time_scale_us"])
     @pytest.mark.parametrize(
-        "make",
+        "make,field",
         [
-            pytest.param(lambda **kw: HashInserter(**{"radius": 1.0, **kw}), id="inserter"),
-            pytest.param(GraphBuildConfig, id="config"),
+            pytest.param(_hash_inserter, "radius", id="inserter-radius"),
+            pytest.param(_hash_inserter, "time_scale_us", id="inserter-time_scale_us"),
+            pytest.param(_hash_inserter, "window_us", id="inserter-window_us"),
+            pytest.param(_hash_inserter, "max_neighbours", id="inserter-max_neighbours"),
+            pytest.param(_naive_inserter, "max_neighbours", id="naive-max_neighbours"),
+            pytest.param(GraphBuildConfig, "radius", id="config-radius"),
+            pytest.param(GraphBuildConfig, "time_scale_us", id="config-time_scale_us"),
         ],
     )
     def test_non_finite_scales_rejected(self, make, field, value):

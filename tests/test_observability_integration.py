@@ -237,53 +237,55 @@ class TestRunnerInstrumentation:
 
     def test_guard_counters_records_and_hooks_reconcile(self, shapes_split):
         train, test = shapes_split
-        windows = []
+        windows, stage_ends = [], []
         obs = Instrumentation(
-            hooks=ProfilingHooks(on_window=lambda i, o: windows.append((i, o)))
+            hooks=ProfilingHooks(
+                on_window=lambda i, o: windows.append((i, o)),
+                on_stage_end=lambda stage, i, ok: stage_ends.append((stage, ok)),
+            )
         )
         runner = HardenedRunner(TinyPipeline(), instrumentation=obs)
+        assert runner.pipeline.instrumentation is obs
         assert runner.fit(train).ok
         report = runner.evaluate(test, fault=UniformDrop(0.3), seed=3)
         reg = obs.registry
-        # One guarded fit + one guarded predict per non-quarantined record.
+        # One fit + one predict per non-quarantined record, each counted
+        # once by the pipeline's own stage wrapper.
         counts = report.outcome_counts()
-        guarded_predicts = reg.counter_value("guard_calls_total", {"stage": "predict"})
-        assert reg.counter_value("guard_calls_total", {"stage": "fit"}) == 1
-        assert guarded_predicts == len(report.records) - counts["quarantined"]
-        assert reg.counter_total("guard_failures_total") == 0
+
+        def calls(stage):
+            labels = {"paradigm": "TINY", "stage": stage}
+            return reg.counter_value("pipeline_stage_calls_total", labels)
+
+        predicts = calls("predict")
+        assert calls("fit") == 1
+        assert predicts == len(report.records) - counts["quarantined"]
+        assert reg.counter_total("pipeline_stage_failures_total") == 0
+        assert stage_ends == [("fit", True)] + [("predict", True)] * int(predicts)
         # Per-outcome record counters mirror the report exactly.
         for outcome, want in counts.items():
             got = reg.counter_value("runner_records_total", {"outcome": outcome})
             assert got == want, outcome
         assert len(windows) == len(report.records)
         assert [i for i, _ in windows] == [r.index for r in report.records]
-        # Guard spans exist for each guarded stage call.
+        # One span per stage call.
         span_counts = obs.tracer.span_counts()
-        assert span_counts["guard:fit"] == 1
-        assert span_counts["guard:predict"] == guarded_predicts
+        assert span_counts["TINY.fit"] == 1
+        assert span_counts["TINY.predict"] == predicts
         assert validate_snapshot(obs.snapshot()) == []
 
     def test_guard_failures_and_retries_counted(self, shapes_split):
+        # A failing stage is counted once and recorded, never retried.
         train, test = shapes_split
-
-        class Flaky(TinyPipeline):
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
-
-            def _predict(self, stream):
-                self._require_fitted()
-                self.calls += 1
-                if self.calls == 1:
-                    raise RuntimeError("transient")
-                return 0
-
         obs = Instrumentation()
-        runner = HardenedRunner(Flaky(), max_retries=1, instrumentation=obs)
+        runner = HardenedRunner(TinyPipeline(fail_predict=True), instrumentation=obs)
         assert runner.fit(train).ok
         record = runner.predict_sample(test.samples[0], 0, test.resolution)
-        assert record.outcome.value == "ok"
+        assert record.outcome.value == "failed"
+        assert record.error_message == "scripted failure"
         reg = obs.registry
-        assert reg.counter_value("guard_attempts_total", {"stage": "predict"}) == 2
-        assert reg.counter_value("guard_failures_total", {"stage": "predict"}) == 0
-        assert reg.counter_value("runner_records_total", {"outcome": "ok"}) == 1
+        labels = {"paradigm": "TINY", "stage": "predict"}
+        assert reg.counter_value("pipeline_stage_calls_total", labels) == 1
+        assert reg.counter_value("pipeline_stage_failures_total", labels) == 1
+        assert obs.tracer.span_counts()["TINY.predict"] == 1
+        assert reg.counter_value("runner_records_total", {"outcome": "failed"}) == 1

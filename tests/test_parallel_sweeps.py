@@ -10,6 +10,7 @@ API.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -268,7 +269,29 @@ class TestResumeCrashSafety:
         )
         assert _curve_bytes(resumed.result) == _curve_bytes(first.result)
         assert obs.registry.counter_total("runner_records_total") == 0
-        assert obs.registry.counter_total("guard_calls_total") == 0
+        assert obs.registry.counter_total("pipeline_stage_calls_total") == 0
+
+    def test_state_with_per_record_attempts_still_resumes(
+        self, split, configs, tmp_path
+    ):
+        # State files written while the runner retried stages carry an
+        # "attempts" count in every record and a "timeout" outcome count.
+        first = run_sweep(self._spec(split, configs, tmp_path))
+        state_path = tmp_path / "seed-0" / "sweep_state.json"
+        state = json.loads(state_path.read_text())
+        for point in state["points"].values():
+            point["report"]["outcome_counts"]["timeout"] = 0
+            for record in point["report"]["records"]:
+                record["attempts"] = 1
+        state_path.write_text(json.dumps(state))
+        obs = Instrumentation()
+        resumed = run_sweep(
+            dataclasses.replace(
+                self._spec(split, configs, tmp_path), instrumentation=obs
+            )
+        )
+        assert _curve_bytes(resumed.result) == _curve_bytes(first.result)
+        assert obs.registry.counter_total("runner_records_total") == 0
 
     @pytest.mark.parametrize("keep_state", [True, False], ids=["state", "no-state"])
     @pytest.mark.parametrize("change", ["pipelines", "fault_profile", "data"])
@@ -368,7 +391,7 @@ class TestValidation:
         "kind,override,match",
         [
             ("streaming", {"options": {"queue_capacty": 1}}, "queue_capacity"),
-            ("robustness", {"options": {"max_retry": 2}}, "max_retries"),
+            ("robustness", {"options": {"fault_profle": None}}, "fault_profile"),
             ("comparison", {"options": {"fault_profile": None}}, "keys: none"),
             ("comparison", {"train": None}, "needs train"),
             ("comparison", {"test": None}, "needs test"),

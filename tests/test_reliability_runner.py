@@ -1,7 +1,6 @@
 """Tests for the hardened runner (repro.reliability.runner)."""
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from repro.datasets import make_shapes_dataset, train_test_split
 from repro.datasets.base import EventDataset, EventSample
 from repro.events import EventStream, Resolution
 from repro.gnn import GraphBuildConfig
+from repro.nn import is_grad_enabled, is_stable_matmul, no_grad, stable_matmul
 from repro.reliability import (
     HardenedRunner,
     OutOfOrderCorruption,
@@ -49,9 +49,8 @@ class StubPipeline(ParadigmPipeline):
 
     name = "SNN"
 
-    def __init__(self, fail_first=0, predict_delay_s=0.0, prediction=0):
-        self.fail_first = fail_first
-        self.predict_delay_s = predict_delay_s
+    def __init__(self, fail=False, prediction=0):
+        self.fail = fail
         self.prediction = prediction
         self.calls = 0
         self.model = None
@@ -62,10 +61,8 @@ class StubPipeline(ParadigmPipeline):
     def predict(self, stream):
         self._require_fitted()
         self.calls += 1
-        if self.predict_delay_s:
-            time.sleep(self.predict_delay_s)
-        if self.calls <= self.fail_first:
-            raise RuntimeError(f"transient failure {self.calls}")
+        if self.fail:
+            raise RuntimeError("scripted failure")
         return self.prediction
 
     def measure(self, test, temporal_labels=()):
@@ -160,53 +157,34 @@ class TestQuarantine:
 
 
 class TestRetryAndTimeout:
-    def test_transient_failure_retried(self, shapes_split):
-        _, test = shapes_split
-        runner = HardenedRunner(StubPipeline(fail_first=1), max_retries=2)
-        runner.fit(test)
-        report = runner.evaluate(test.subset([0]))
-        assert report.records[0].outcome is RecordingOutcome.OK
-        assert report.records[0].attempts == 2
-
-    def test_retry_runs_back_to_back(self, shapes_split, monkeypatch):
-        _, test = shapes_split
-        sleeps = []
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        runner = HardenedRunner(StubPipeline(fail_first=1), max_retries=1)
-        runner.fit(test)
-        report = runner.evaluate(test.subset([0]))
-        assert report.records[0].outcome is RecordingOutcome.OK
-        assert report.records[0].attempts == 2
-        assert sleeps == []
+    """The runner neither retries nor times out: each stage runs once."""
 
     def test_persistent_failure_recorded(self, shapes_split):
         _, test = shapes_split
-        runner = HardenedRunner(StubPipeline(fail_first=10**9), max_retries=1)
+        pipeline = StubPipeline(fail=True)
+        runner = HardenedRunner(pipeline)
         runner.fit(test)
         report = runner.evaluate(test.subset([0, 1]))
         for record in report.records:
             assert record.outcome is RecordingOutcome.FAILED
             assert record.error_type == "RuntimeError"
-            assert record.attempts == 2
+        assert pipeline.calls == len(report.records)  # one call per record
         assert np.isnan(report.accuracy())
 
-    def test_stage_timeout_skips_and_records(self, shapes_split):
+    def test_failed_stage_restores_engine_flags(self, shapes_split):
         _, test = shapes_split
-        runner = HardenedRunner(
-            StubPipeline(predict_delay_s=2.0), stage_timeout_s=0.05
-        )
-        runner.fit(test)
-        start = time.monotonic()
-        report = runner.evaluate(test.subset([0]))
-        assert time.monotonic() - start < 1.5  # did not wait out the sleep
-        assert report.records[0].outcome is RecordingOutcome.TIMEOUT
-        assert report.records[0].attempts == 1  # timeouts are not retried
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            HardenedRunner(StubPipeline(), max_retries=-1)
-        with pytest.raises(ValueError):
-            HardenedRunner(StubPipeline(), stage_timeout_s=0)
+        class RaisesInsideEngineContexts(StubPipeline):
+            def predict(self, stream):
+                with no_grad(), stable_matmul():
+                    raise RuntimeError("failure inside the engine contexts")
+
+        runner = HardenedRunner(RaisesInsideEngineContexts())
+        runner.fit(test)
+        report = runner.evaluate(test.subset([0]))
+        assert report.records[0].outcome is RecordingOutcome.FAILED
+        assert is_grad_enabled() is True
+        assert is_stable_matmul() is False
 
 
 class TestRunReport:

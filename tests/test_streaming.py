@@ -1,5 +1,7 @@
 """Unit and property tests of the streaming building blocks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,14 @@ class TestShedController:
             ("NONE", "SUBSAMPLE"),
             ("SUBSAMPLE", "NONE"),
         ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ShedPolicy)]
+    )
+    def test_policy_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ShedPolicy(**{field: value})
 
     def test_ledger_rejects_added_events(self):
         ledger = ShedLedger()

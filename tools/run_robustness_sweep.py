@@ -132,9 +132,8 @@ def main() -> int:
     # A run that resumes every model and point from --checkpoint-dir
     # evaluates nothing, so it makes no guarded call by design.
     evaluated = registry.counter_total("runner_records_total") > 0
-    if registry.counter_total("guard_calls_total") == 0 and (
-        evaluated or args.checkpoint_dir is None
-    ):
+    stage_calls = int(registry.counter_total("pipeline_stage_calls_total"))
+    if stage_calls == 0 and (evaluated or args.checkpoint_dir is None):
         failures.append("metrics snapshot recorded no guarded stage calls")
     if args.checkpoint_dir is None:
         # Cached sweep points come from a previous process, so their
@@ -181,7 +180,7 @@ def main() -> int:
             for name, points in result.curves.items()
         },
         "robustness_scores": {k: round(v, 4) for k, v in scores.items()},
-        "guarded_stage_calls": int(registry.counter_total("guard_calls_total")),
+        "guarded_stage_calls": stage_calls,
         "failures": failures,
     }
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
@@ -189,7 +188,7 @@ def main() -> int:
     print(f"robustness sweep finished in {elapsed:.1f}s -> {args.output}")
     print(
         f"  observability: "
-        f"{int(registry.counter_total('guard_calls_total'))} guarded calls, "
+        f"{stage_calls} guarded calls, "
         f"{int(registry.counter_total('runner_records_total'))} records "
         f"-> {args.metrics_output}"
     )
