@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..events.ops import _grouped_refractory_keep
 from ..events.stream import EventStream, Resolution
 
 __all__ = ["PixelParams", "PixelArray"]
@@ -51,7 +52,9 @@ class PixelParams:
             the pixel fires OFF when log luminance *falls* by this much).
         threshold_mismatch_sigma: relative standard deviation of the
             per-pixel threshold spread (fixed-pattern noise); 0 disables.
-        refractory_us: per-pixel dead time after an event.
+        refractory_us: per-pixel dead time after an event: an event is
+            kept only if it comes more than this after the pixel's last
+            kept one.
         photoreceptor_cutoff_hz: first-order low-pass bandwidth of the
             photoreceptor front-end.  Real DVS photoreceptors are
             bandwidth-limited (bias-dependent, ~100 Hz – 10 kHz); fast
@@ -278,13 +281,27 @@ class PixelArray:
     def _apply_refractory(
         self, t: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
-        """Sequentially enforce the per-pixel refractory period."""
-        keep = np.zeros(t.size, dtype=bool)
+        """Keep-mask of the per-pixel refractory period.
+
+        An event is kept iff it comes more than ``refractory_us`` after
+        its pixel's last kept one — the rule of
+        :func:`~repro.events.ops.refractory_filter`.  Every pixel still
+        blind at the block's first event enters the grouped selection
+        as a kept event at its last kept time, ahead of the block, so
+        the deadlines in ``_refractory_until`` carry across calls.
+        """
         refr = self.params.refractory_us
-        until = self._refractory_until
-        for i in range(t.size):
-            yi, xi = int(y[i]), int(x[i])
-            if t[i] >= until[yi, xi]:
-                keep[i] = True
-                until[yi, xi] = t[i] + refr
+        until = self._refractory_until.reshape(-1)  # a view: (y, x) -> y * W + x
+        pix = y * self.resolution.width + x
+        blind = np.flatnonzero(until >= t[0])
+        last = until[blind] - refr  # each at or before t[0]
+        order = np.argsort(last, kind="stable")
+        keep = _grouped_refractory_keep(
+            np.concatenate((blind[order], pix)), np.concatenate((last[order], t)), refr
+        )
+        if keep is None:
+            # (H * W) x (block time span + 2 * refractory_us) reaches 2**62.
+            raise OverflowError("refractory period or block time span too long")
+        keep = keep[blind.size :]
+        np.maximum.at(until, pix[keep], t[keep] + refr)
         return keep

@@ -712,14 +712,15 @@ class HashInserter(_InserterBase):
     #: with one slice plus its reachable live pool, never with the
     #: whole input.  On a 50k-event 64x64 stream at 100 keps (radius 4,
     #: 5 ms time scale; 2-vCPU x86 host) slices of 1024 and 2048 events
-    #: build in the same time (medians 1.7 vs 1.8 s, dense + compact,
-    #: interleaved) at traced peaks of 14 vs 22 MB; 256 takes 1.4x.
+    #: build in about the same time (medians 0.64 vs 0.60 s, dense +
+    #: compact, interleaved) at traced peaks of 11.6 vs 16.1 MB; 256
+    #: takes 1.45x.
     _SLICE_EVENTS = 1024
 
     #: Cap on the candidate pairs one slice expands; denser bursts
-    #: recurse on halves.  A pair costs ~108 B at the peak (1024 events
-    #: in one cell: 524k pairs, 54 MB traced), so the cap bounds a
-    #: slice near 100 MB; typical slices expand ~100k pairs.
+    #: recurse on halves.  A pair costs ~105 B at the peak (1024 events
+    #: in one cell: 524k pairs, 52 MB traced), so the cap bounds a
+    #: slice near 100 MB; typical slices expand ~65k pairs.
     _MAX_BATCH_PAIRS = 1_000_000
 
     def insert_many(self, xs, ys, ts) -> np.ndarray:
@@ -730,12 +731,19 @@ class HashInserter(_InserterBase):
         inserted in fixed time-ordered slices of ``_SLICE_EVENTS``
         events, so memory follows one slice, not the input.  Per slice,
         live and slice nodes are pooled, sorted once by packed
-        ``(t-cell, x-cell, y-cell)`` key, and each slice event probes its
-        18 reachable cells with array-wide binary searches; only each
-        cell's older ids become candidate pairs, which are then filtered
-        (liveness window, radius), capped per event by
-        nearest-first/id-tie-break selection, and bulk-appended.
-        Because neighbourhoods are causal the result —
+        ``(t-cell, x-cell, y-cell, id)`` key, and each slice event
+        probes its 18 reachable cells with array-wide binary searches;
+        each cell's range of older ids is trimmed to the liveness
+        window and, in the previous time-cell, to the ids within the
+        radius's time reach — one binary search in the pool's
+        timestamps, as ids are time-ordered (after a clock restart they
+        are not, and ranges stay whole).  ``candidates_examined`` counts
+        the liveness-trimmed ranges, as the per-event path counts its
+        candidates; only the radius-trimmed ranges are expanded into
+        pairs, which are filtered by radius, capped per event by
+        nearest-first/id-tie-break selection — one value sort of packed
+        ``(destination, dense dist2 rank, source)`` keys — and
+        bulk-appended.  Because neighbourhoods are causal the result —
         edges, node indices and stats — is identical to calling
         :meth:`insert` per event, which remains the tested oracle for
         this path.
@@ -853,7 +861,7 @@ class HashInserter(_InserterBase):
         pool_cx = np.concatenate(cx_parts + [cxs])
         pool_cy = np.concatenate(cy_parts + [cys])
         pool_ct = np.concatenate(ct_parts + [cts])
-        M = pool_id.size
+        num_ids = n0 + n  # every id in the pool is below this
 
         # --- pack (t-cell, x-cell, y-cell) into one sortable int64 ---
         mx, my, mt = (
@@ -865,8 +873,7 @@ class HashInserter(_InserterBase):
         span_y = int(pool_cy.max()) - my + 2
         span_t = int(pool_ct.max()) - mt + 2
         if (
-            float(span_t) * float(span_x) * float(span_y) * float(M) >= 2**62
-            or float(n) * float(n0 + n) >= 2**62  # packed (dst, src) edge sort
+            float(span_t) * float(span_x) * float(span_y) * float(num_ids) >= 2**62
             or abs(x_lo) >= _XY_BIAS - 1  # block xy-key packing range
             or abs(x_hi) >= _XY_BIAS - 1
             or abs(y_lo) >= _XY_BIAS - 1
@@ -875,54 +882,79 @@ class HashInserter(_InserterBase):
             return _BATCH_OVERFLOW
         key = ((pool_ct - mt) * span_x + (pool_cx - mx)) * span_y + (pool_cy - my)
 
-        # Value sort of (key, pool index) packed into one int64; the
-        # batch members' sorted keys are then themselves sorted, so the
-        # 18 probe passes below all run with sorted needles.
-        packed = np.sort(key * M + np.arange(M))  # sort-ok: packed keys are unique
-        skey = packed // M
-        order = packed - skey * M
-        new_cell = np.empty(M, dtype=bool)
-        new_cell[0] = True
-        new_cell[1:] = skey[1:] != skey[:-1]
-        cell_start = np.flatnonzero(new_cell)
-        cell_key = skey[cell_start]
-        num_cells = cell_key.size
+        # Value sort of (key, node id) packed into one int64: each cell's
+        # entries sit in id order, so a source's causal candidates in a
+        # cell (every node inserted before it) are the prefix below its
+        # own (cell, id) key.  The slice's sorted keys are themselves
+        # sorted, so each probe row below runs with sorted needles.
+        packed = np.sort(key * num_ids + pool_id)  # sort-ok: packed keys are unique
+        sorted_id = packed % num_ids
+        is_src = sorted_id >= n0
+        src_packed = packed[is_src]
+        needle_id = sorted_id[is_src]
+        src_cell = src_packed - needle_id  # each source's key * num_ids
 
-        sorted_id = pool_id[order]
-        src_spos = np.flatnonzero(order >= M - n)
-        needles = skey[src_spos]
-        src_packed = packed[src_spos]
-
-        # Within a cell, pool entries sit in pool-index order: live
-        # nodes first, then slice events by id.  A source's causal
-        # candidates in a cell (every node inserted before it) are
-        # therefore the prefix below its own (cell, pool index) key.
-        src_parts: list[np.ndarray] = []
-        qs_parts: list[np.ndarray] = []
-        qc_parts: list[np.ndarray] = []
-        for dt in (-1, 0):
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    dkey = (dt * span_x + dx) * span_y + dy
-                    probe = needles + dkey
-                    slot = np.searchsorted(cell_key, probe)
-                    slot_c = np.minimum(slot, num_cells - 1)
-                    hit = (slot < num_cells) & (cell_key[slot_c] == probe)
-                    if not hit.any():
-                        continue
-                    start = cell_start[slot_c[hit]]
-                    stop = np.searchsorted(packed, src_packed[hit] + dkey * M)
-                    src_parts.append(sorted_id[src_spos[hit]])
-                    qs_parts.append(start)
-                    qc_parts.append(stop - start)
-
-        if src_parts:
-            q_count = np.concatenate(qc_parts)
-            total = int(q_count.sum())
+        # Each probe's range starts at the first id that the liveness
+        # window keeps (``lo_live``); previous-time-cell probes start at
+        # the first id that is also within the radius's time reach
+        # (``lo_near``).  Ids are time-ordered (unless a clock restart
+        # was fed to insert_many), so both are one binary search in the
+        # timestamps of the ids the pool spans.  Time reach: a pair
+        # ``reach`` or more µs apart is more than r + 1/s apart in
+        # scaled time (s = time_scale_us).  With |t| < 2**51 µs, float64
+        # rounding of the two t / s moves their gap by less than 1/(2s),
+        # and with r * s < 2**48 the rest of the margin still exceeds
+        # the rounding of dist2 and of r * r many times, so the dist2
+        # test below would reject the pair.  Gaps stay below 2**52 µs,
+        # so a reach or window of that length trims nothing.
+        lo_pool = int(pool_id[: pool_id.size - n].min()) if pool_id.size > n else n0
+        t_span = np.concatenate((self.window.t[lo_pool:n0], ts))
+        if (
+            bool(np.all(t_span[1:] >= t_span[:-1]))
+            and max(-int(t_span[0]), int(t_span[-1])) < 2**51
+        ):
+            t_src = ts[needle_id - n0]
+            cut = t_src - min(self.window_us, 2**52)
+            rs = self.radius * self.time_scale_us
+            reach = int(rs) + 2 if rs < 2**48 else 2**52
+            lo_live = lo_pool + np.searchsorted(t_span, cut)
+            lo_near = lo_pool + np.searchsorted(
+                t_span, np.maximum(cut, t_src - (reach - 1))
+            )
+            trimmed = True
         else:
-            total = 0
+            lo_live = lo_near = 0
+            trimmed = False
+
+        # The 18 reachable cells of every source, probed at once as an
+        # (18, sources) array of packed keys in (dt, dx, dy) order; rows
+        # 0-8 are the previous time-cell.  Candidates are counted over
+        # the liveness-trimmed ranges, as the per-event path counts
+        # them; only the pairs of the radius-trimmed ranges are expanded.
+        dkeys = [
+            (dt * span_x + dx) * span_y + dy
+            for dt in (-1, 0)
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+        ]
+        base = src_cell + np.array(dkeys, dtype=np.int64)[:, None] * num_ids
+        stop = np.searchsorted(packed, base + needle_id)
+        start = np.searchsorted(packed, base + lo_live)
+        examined = int((stop - start).sum())
+        start[:9] = np.searchsorted(packed, base[:9] + lo_near)
+        q_count = stop - start
+        hit = q_count > 0
+        q_src = np.broadcast_to(needle_id, hit.shape)[hit]
+        q_start = start[hit]
+        q_count = q_count[hit]
+        total = int(q_count.sum())
         if total > self._MAX_BATCH_PAIRS and n > 1:
             return _BATCH_SPLIT
+        # The packed (destination, dist2 rank, source) cap key: a rank
+        # is below ``total``.  It also bounds the (destination, source)
+        # edge key.
+        if float(n) * float(max(total, 1)) * float(num_ids) >= 2**62:
+            return _BATCH_OVERFLOW
 
         # --- commit point: append batch nodes, then build edges ---
         w = self.window  # grow mode: node i sits in row i
@@ -934,21 +966,21 @@ class HashInserter(_InserterBase):
         if total:
             # Candidate m of probe q sits at sorted position
             # q_start[q] + m.
-            q_start = np.concatenate(qs_parts)
             out_start = np.cumsum(q_count) - q_count
             cand_id = sorted_id[
                 np.arange(total) + np.repeat(q_start - out_start, q_count)
             ]
-            src_id = np.repeat(np.concatenate(src_parts), q_count)
+            src_id = np.repeat(q_src, q_count)
 
-            # The liveness window; candidate work is counted after it,
-            # matching the per-event oracle.  When the oldest pool node
-            # is live for the newest event, every pair is.
-            if int(w.t[pool_id].min()) < int(ts[-1]) - self.window_us:
+            # Untrimmed ranges (a clock restart) are whole cells: apply
+            # the liveness window pair by pair and count what survives.
+            # When the oldest pool node is live for the newest event,
+            # every pair is.
+            if not trimmed and int(w.t[pool_id].min()) < int(ts[-1]) - self.window_us:
                 live = w.t[cand_id] >= w.t[src_id] - self.window_us
                 src_id = src_id[live]
                 cand_id = cand_id[live]
-            self.stats.candidates_examined += int(src_id.size)
+                examined = int(src_id.size)
 
             d = w.pos[src_id] - w.pos[cand_id]
             dist2 = np.einsum("ij,ij->i", d, d)
@@ -958,35 +990,45 @@ class HashInserter(_InserterBase):
             dist2 = dist2[in_radius]
 
             # Per-event cap: nearest max_neighbours, ties broken by id —
-            # resolved only for the (rare) oversubscribed events.
+            # resolved only for the oversubscribed events, by one value
+            # sort of (destination, dense dist2 rank, source) packed
+            # into an int64.
             dst_local = src_id - n0
+            k = self.max_neighbours
             if src_id.size:
                 counts = np.bincount(dst_local, minlength=n)
-                if int(counts.max()) > self.max_neighbours:
-                    over = counts[dst_local] > self.max_neighbours
-                    o_idx = np.flatnonzero(over)
-                    by_pref = o_idx[
-                        np.lexsort(
-                            (cand_id[o_idx], dist2[o_idx], dst_local[o_idx])
-                        )
-                    ]
-                    dl = dst_local[by_pref]
+                if int(counts.max()) > k:
+                    over = counts[dst_local] > k
+                    d_over = dist2[over]
+                    by_d = np.argsort(d_over)  # sort-ok: tied values share a rank
+                    step = np.empty(d_over.size, dtype=np.int64)
+                    step[0] = 0
+                    np.not_equal(d_over[by_d[1:]], d_over[by_d[:-1]], out=step[1:])
+                    rank = np.empty_like(step)
+                    rank[by_d] = np.cumsum(step)
+                    span = (int(rank[by_d[-1]]) + 1) * num_ids
+                    pk = np.sort(  # sort-ok: packed keys are unique
+                        dst_local[over] * span + rank * num_ids + cand_id[over]
+                    )
+                    del d_over, by_d, step, rank
+                    dl = pk // span
                     grp_head = np.empty(dl.size, dtype=bool)
                     grp_head[0] = True
                     grp_head[1:] = dl[1:] != dl[:-1]
                     starts = np.flatnonzero(grp_head)
-                    rank = np.arange(dl.size) - starts[np.cumsum(grp_head) - 1]
-                    keep = np.ones(src_id.size, dtype=bool)
-                    keep[by_pref] = rank < self.max_neighbours
-                    dst_local = dst_local[keep]
-                    cand_id = cand_id[keep]
+                    nearest = np.arange(dl.size) - starts[np.cumsum(grp_head) - 1] < k
+                    under = ~over
+                    dst_local = np.concatenate((dst_local[under], dl[nearest]))
+                    cand_id = np.concatenate((cand_id[under], pk[nearest] % num_ids))
+
             if cand_id.size:
                 # Insertion order: ascending destination, then ascending
                 # source — one packed value sort.
-                pk = np.sort(dst_local * (n0 + n) + cand_id)  # sort-ok: packed keys are unique
-                dsts = pk // (n0 + n)
+                pk = np.sort(dst_local * num_ids + cand_id)  # sort-ok: packed keys are unique
+                dsts = pk // num_ids
                 self.stats.edges_created += pk.size
-                sink(pk - dsts * (n0 + n), n0 + dsts)
+                sink(pk - dsts * num_ids, n0 + dsts)
+        self.stats.candidates_examined += examined
 
         # --- store the batch as per-time-cell blocks; expire the old ---
         self._expire(ct_last)

@@ -1,5 +1,7 @@
 """Tests for the DVS pixel model and end-to-end camera."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.camera import (
     ReadoutParams,
     TexturePan,
 )
-from repro.events import EventStream, Resolution
+from repro.events import EventStream, Resolution, concatenate, refractory_filter
 
 # A NumPy cast or invalid-value warning in the simulator is a failure.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -81,6 +83,45 @@ class TestPixelArray:
         arr.step(np.zeros((1, 1)), 0)
         ev = arr.step(np.full((1, 1), 0.55), 1000)  # 5 crossings within 1 ms
         assert len(ev) == 1  # refractory blocks the rest
+
+    def test_refractory_boundary_is_strict(self):
+        # Two crossings exactly refractory_us apart (at 500 and 1000 us):
+        # the second is dropped, as refractory_filter drops it.
+        params = PixelParams(threshold_on=0.1, threshold_off=0.1, refractory_us=500)
+        arr = PixelArray(Resolution(1, 1), params)
+        arr.step(np.zeros((1, 1)), 0)
+        ev = arr.step(np.full((1, 1), 0.2), 1000)
+        assert ev.t.tolist() == [500]
+        free = PixelArray(Resolution(1, 1), dataclasses.replace(params, refractory_us=0))
+        free.step(np.zeros((1, 1)), 0)
+        both = free.step(np.full((1, 1), 0.2), 1000)
+        assert both.t.tolist() == [500, 1000]
+        assert refractory_filter(both, 500).raw.tobytes() == ev.raw.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("refractory_us", [100, 500, 1000, 4000])
+    def test_refractory_equals_refractory_filter(self, seed, refractory_us):
+        # Deadlines carry across steps: the refractory array's events are
+        # refractory_filter of an otherwise identical array's events.
+        params = PixelParams(
+            threshold_on=0.1, threshold_off=0.15, threshold_mismatch_sigma=0.2,
+            refractory_us=refractory_us,
+        )
+        blind = PixelArray(RES, params, rng=np.random.default_rng(seed))
+        free = PixelArray(
+            RES, dataclasses.replace(params, refractory_us=0),
+            rng=np.random.default_rng(seed),
+        )
+        rng = np.random.default_rng(seed)
+        kept, unfiltered = [], []
+        for t in range(0, 20_000, 500):
+            frame = rng.normal(0.0, 0.4, (RES.height, RES.width))
+            kept.append(blind.step(frame, t))
+            unfiltered.append(free.step(frame, t))
+        got = concatenate(kept)
+        want = refractory_filter(concatenate(unfiltered), refractory_us)
+        assert len(got) > 0 and len(got) < sum(map(len, unfiltered))
+        assert got.raw.tobytes() == want.raw.tobytes()
 
     def test_threshold_mismatch_spread(self):
         params = PixelParams(threshold_mismatch_sigma=0.3)

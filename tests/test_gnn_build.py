@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.events import EventStream, Resolution
+from repro.camera import CameraConfig, EventCamera, TexturePan
+from repro.events import EventStream, Resolution, concatenate
 from repro.gnn import (
     CompactGraphBuilder,
     EventGraph,
@@ -389,11 +390,28 @@ def edge_streams(draw):
     )
 
 
+def pan_stream(seed, n=5_000, res=Resolution(64, 64)):
+    """The shape of e2ebench's graph_build stream at a tenth of its
+    size: stitched 25 ms texture pans, stretched to 100 keps."""
+    parts, total = [], 0
+    while total < n:
+        i = len(parts)
+        camera = EventCamera(res, CameraConfig(seed=20_000 + 1000 * seed + i))
+        pan = TexturePan(res, vx_px_per_s=60.0, vy_px_per_s=24.0, seed=1000 * seed + i)
+        part, _ = camera.record(pan, 25_000)
+        parts.append(part.rezero_time().shift_time(i * 25_000))
+        total += len(part)
+    stream = concatenate(parts)[:n]
+    t = np.round(stream.t * (n * 10 / max(int(stream.t[-1]), 1))).astype(np.int64)
+    return EventStream.from_arrays(t, stream.x, stream.y, stream.p, res)
+
+
 class TestCausalEdgeKernel:
     """``HashInserter.insert_many`` is the one capped causal edge kernel:
     the dense and compact builds take their edges from it, so both are
     pinned to the radius → causal → cap oracle pipeline, and the sliced
-    kernel to the per-event path, under any slice size and pair cap."""
+    kernel to the per-event path, under any slice size, pair cap,
+    liveness window and clock origin."""
 
     @staticmethod
     def _oracle(stream, cfg):
@@ -406,10 +424,16 @@ class TestCausalEdgeKernel:
         max_degree=st.integers(1, 4),
         slice_events=st.sampled_from([1, 3, 7, 1024]),
         max_pairs=st.sampled_from([1, 5, 1_000_000]),
+        # Below, at and above the radius's time reach (3000 us), which
+        # edge_streams' dt steps land on exactly.
+        window_us=st.sampled_from([500, 2999, 3000, 3001, 4500, 1 << 62]),
+        # Clock origins: zero, a Unix-epoch microsecond clock, and one
+        # past the range where the kernel trims ranges by time.
+        t0=st.sampled_from([0, 1_760_000_000_000_000, 1 << 52]),
     )
     @settings(max_examples=60, deadline=None)
     def test_builds_equal_oracle_and_per_event(
-        self, stream, max_degree, slice_events, max_pairs
+        self, stream, max_degree, slice_events, max_pairs, window_us, t0
     ):
         cfg = GraphBuildConfig(
             radius=3.0,
@@ -422,10 +446,10 @@ class TestCausalEdgeKernel:
         oracle = self._oracle(stream, cfg)
         soa = stream.soa()
         kw = dict(
-            radius=3.0, time_scale_us=1000.0, window_us=1 << 62, max_neighbours=max_degree
+            radius=3.0, time_scale_us=1000.0, window_us=window_us, max_neighbours=max_degree
         )
         per_event = HashInserter(**kw)
-        for x, y, t in zip(soa.x, soa.y, soa.t):
+        for x, y, t in zip(soa.x, soa.y, soa.t + t0):
             per_event.insert(float(x), float(y), int(t))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(HashInserter, "_SLICE_EVENTS", slice_events)
@@ -435,13 +459,40 @@ class TestCausalEdgeKernel:
                 stream, dataclasses.replace(cfg, representation="compact")
             )
             sliced = HashInserter(**kw)
-            sliced.insert_many(soa.x, soa.y, soa.t)
+            sliced.insert_many(soa.x, soa.y, soa.t + t0)
         np.testing.assert_array_equal(dense.edges, oracle)
         np.testing.assert_array_equal(compact.edges, oracle)
         np.testing.assert_array_equal(sliced.edges(), per_event.edges())
         assert sliced.stats == per_event.stats
         if len(stream) <= 1:
             assert dense.num_edges == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_geometry(self, seed):
+        # graph_build's geometry (radius 4 px, 5 ms time scale, degree
+        # cap 8), where most events are over the cap and the previous
+        # time-cell holds many pairs beyond the radius's time reach.
+        stream = pan_stream(seed)
+        cfg = GraphBuildConfig(
+            radius=4.0,
+            time_scale_us=5000.0,
+            max_events=len(stream),
+            max_degree=8,
+            causal=True,
+            quantization_bits=8,
+        )
+        oracle = self._oracle(stream, cfg)
+        for rep in ("dense", "compact"):
+            graph = build_event_graph(stream, dataclasses.replace(cfg, representation=rep))
+            np.testing.assert_array_equal(graph.edges, oracle)
+        soa = stream.soa()
+        kw = dict(radius=4.0, time_scale_us=5000.0, window_us=1 << 62, max_neighbours=8)
+        sliced, per_event = HashInserter(**kw), HashInserter(**kw)
+        sliced.insert_many(soa.x, soa.y, soa.t)
+        for x, y, t in zip(soa.x, soa.y, soa.t):
+            per_event.insert(float(x), float(y), int(t))
+        np.testing.assert_array_equal(sliced.edges(), per_event.edges())
+        assert sliced.stats == per_event.stats
 
     def test_degree_saturation_keeps_nearest(self):
         # Eight events on one pixel, then one a pixel away: every source
