@@ -78,8 +78,8 @@ class ParadigmPipeline(abc.ABC):
     and the base class runs them through one instrumented path, so an
     attached :class:`~repro.observability.Instrumentation` (see
     :meth:`instrument`) sees every stage call — spans, call/failure
-    counters, duration histograms and ``on_stage_start``/``on_stage_end``
-    hooks — without each paradigm re-implementing the bookkeeping.
+    counters and duration histograms — without each paradigm
+    re-implementing the bookkeeping.
     Without instrumentation the wrapper is a single ``None`` check.
     """
 
@@ -125,7 +125,7 @@ class ParadigmPipeline(abc.ABC):
             )
 
     def _observed(self, stage: str, fn):
-        """Run one stage through the metrics/tracing/hook wrapper."""
+        """Run one stage through the metrics/tracing wrapper."""
         obs = self._obs
         if obs is None:
             return fn()
@@ -135,14 +135,10 @@ class ParadigmPipeline(abc.ABC):
             labels=labels,
             help="pipeline stage invocations",
         ).inc()
-        obs.stage_start(stage)
-        ok = False
         span = None
         try:
             with obs.tracer.span(f"{self.name}.{stage}") as span:
-                value = fn()
-            ok = True
-            return value
+                return fn()
         except Exception:
             obs.registry.counter(
                 "pipeline_stage_failures_total",
@@ -157,7 +153,6 @@ class ParadigmPipeline(abc.ABC):
                     labels=labels,
                     help="pipeline stage duration (us; wall or virtual per clock)",
                 ).observe(span.duration_us)
-            obs.stage_end(stage, ok=ok)
 
     # ------------------------------------------------------------------
     # Public stages (instrumented templates around the _impl methods)

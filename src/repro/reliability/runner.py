@@ -215,8 +215,7 @@ class HardenedRunner:
             pipeline (see :meth:`ParadigmPipeline.instrument`) so every
             stage call is counted, timed and traced there.  Every
             classified recording is counted into
-            ``runner_records_total{outcome=...}`` with the ``on_window``
-            hook fired per terminal outcome.
+            ``runner_records_total{outcome=...}``.
         clock: monotonic time source for ``elapsed_s`` measurements
             (default ``time.monotonic``).  The sharded executor injects a
             deterministic virtual clock so reports are byte-identical
@@ -360,7 +359,6 @@ class HardenedRunner:
                 labels={"outcome": record.outcome.value},
                 help="recordings by terminal outcome",
             ).inc()
-            obs.window(index, record.outcome.value)
         return record
 
     def _classify_sample(

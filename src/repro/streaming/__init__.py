@@ -14,10 +14,13 @@ model, degrading gracefully under overload instead of collapsing:
 * per-stage circuit breakers with seeded half-open probes and a
   fallback chain ending at the last-good cached prediction
   (:mod:`~repro.streaming.breaker`);
-* a balanced :class:`~repro.streaming.report.StreamReport` health
-  snapshot, and an overload sweep
-  (:mod:`~repro.streaming.sweep`) whose graceful-degradation scores
-  join the regenerated Table I via
+* one account per run: the run's metrics registry and trace
+  (``StreamingExecutor.obs``) and a balanced :class:`~repro.streaming.report.StreamReport` derived
+  from them — the breakers keep only their transition logs and the
+  shed ledger only its per-tier totals, both copied into the registry
+  when the run ends;
+* an overload sweep (:mod:`~repro.streaming.sweep`) whose
+  graceful-degradation scores join the regenerated Table I via
   :func:`repro.core.comparison.attach_row`.
 """
 

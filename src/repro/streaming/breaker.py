@@ -28,7 +28,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -133,25 +133,18 @@ class CircuitBreaker:
         stage: name of the guarded stage.
         policy: trip/recovery parameters.
         seed: seed of the half-open probe generator.
-        on_transition: optional observer called with every
-            :class:`BreakerTransition` as it happens (the executor uses
-            it to mirror trips into the metrics registry and fire the
-            ``on_trip`` profiling hook).  Must not raise.
+        state: current :class:`BreakerState`.
+        transitions: every state change, in order — the breaker's only
+            record; the executor counts it into the run's registry.
     """
 
     stage: str
     policy: BreakerPolicy = field(default_factory=BreakerPolicy)
     seed: int = 0
-    on_transition: Callable[[BreakerTransition], None] | None = None
 
     def __post_init__(self) -> None:
         self.state = BreakerState.CLOSED
         self.transitions: list[BreakerTransition] = []
-        self.calls = 0
-        self.refusals = 0
-        self.failures = 0
-        self.nan_trips = 0
-        self.probes = 0
         self._consecutive_failures = 0
         self._cooldown_remaining = 0
         self._probe_successes = 0
@@ -167,8 +160,6 @@ class CircuitBreaker:
         transition = BreakerTransition(self.stage, self.state, to, at_window, reason)
         self.transitions.append(transition)
         self.state = to
-        if self.on_transition is not None:
-            self.on_transition(transition)
 
     def allow(self, at_window: int) -> bool:
         """Whether the stage may be called for this window.
@@ -181,23 +172,17 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             self._cooldown_remaining -= 1
             if self._cooldown_remaining > 0:
-                self.refusals += 1
                 return False
             self._probe_successes = 0
             self._move(
                 BreakerState.HALF_OPEN, at_window, "cooldown elapsed"
             )
         if self.state is BreakerState.HALF_OPEN:
-            if float(self._rng.random()) < self.policy.probe_probability:
-                self.probes += 1
-                return True
-            self.refusals += 1
-            return False
+            return float(self._rng.random()) < self.policy.probe_probability
         return True
 
     def record_success(self, at_window: int) -> None:
         """Report a successful (finite-output) stage call."""
-        self.calls += 1
         self._consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
@@ -212,10 +197,6 @@ class CircuitBreaker:
         self, at_window: int, *, nan_output: bool = False, reason: str = ""
     ) -> None:
         """Report a failed stage call (exception or NaN output)."""
-        self.calls += 1
-        self.failures += 1
-        if nan_output:
-            self.nan_trips += 1
         self._consecutive_failures += 1
         detail = reason or ("non-finite output" if nan_output else "stage error")
         if self.state is BreakerState.HALF_OPEN:
@@ -240,16 +221,3 @@ class CircuitBreaker:
         if not self.transitions:
             return True
         return self.state is BreakerState.CLOSED
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable summary."""
-        return {
-            "stage": self.stage,
-            "state": self.state.value,
-            "calls": self.calls,
-            "refusals": self.refusals,
-            "failures": self.failures,
-            "nan_trips": self.nan_trips,
-            "probes": self.probes,
-            "transitions": [t.to_dict() for t in self.transitions],
-        }

@@ -37,13 +37,15 @@ window and event accounting balances exactly.
 
 Every run builds a fresh :class:`~repro.observability.Instrumentation`
 on the executor's *virtual* clock (exposed as :attr:`StreamingExecutor.obs`).
-During the run the metrics registry is the single source of truth — the
-executor increments ``stream_*`` counters and opens ``ingest`` /
-``serve`` / ``call:{stage}`` / ``expire`` spans — and the report's
-scalar counters are derived from the registry when the run finishes, so
-the two can never disagree.  Because every timestamp in the trace comes
-from the virtual clock, two identical seeded runs produce byte-identical
-snapshots.
+Its registry and trace are the run's one account: the executor
+increments ``stream_*`` counters and opens ``ingest`` / ``serve`` /
+``call:{stage}`` / ``expire`` spans, and the report's scalar counters
+are derived from the registry when the run finishes, so the two can
+never disagree.  The shed ledger and the breakers' transition logs are
+copied into their ``stream_shed_*`` and
+``stream_breaker_transitions_total`` series at the same point.  Because
+every timestamp in the trace comes from the virtual clock, two identical
+seeded runs produce byte-identical snapshots.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ from ..core.pipeline import NotFittedError, ParadigmPipeline
 from ..events.ops import split_by_time
 from ..events.rate import rate_profile
 from ..events.stream import EventStream
-from ..observability import Instrumentation, ProfilingHooks, exponential_buckets
-from .breaker import BreakerPolicy, BreakerTransition, CircuitBreaker, is_bad_output
-from .queueing import BoundedWindowQueue, WindowTicket
+from ..observability import Instrumentation, exponential_buckets
+from .breaker import BreakerPolicy, CircuitBreaker, is_bad_output
+from .queueing import BoundedWindowQueue, WindowTicket, check_capacity
 from .report import StageStats, StreamReport
-from .shedding import ShedController, ShedLedger, ShedPolicy, ShedTier
+from .shedding import ShedController, ShedPolicy, ShedTier
 
 __all__ = ["ServiceModel", "StreamStage", "StreamingExecutor", "LAST_GOOD_STAGE"]
 
@@ -93,53 +95,6 @@ DEADLINE_WINDOWS = 4
 
 #: Latency buckets: 1 ms .. ~1e4 s of virtual time, decade steps.
 _LATENCY_BUCKETS = exponential_buckets(1e3, 10.0, 8)
-
-
-class _InstrumentedLedger(ShedLedger):
-    """A :class:`ShedLedger` that mirrors every entry into the registry.
-
-    The ledger stays the canonical shed accounting on the report; this
-    subclass additionally increments ``stream_shed_windows_total`` /
-    ``stream_shed_events_total`` and fires the ``on_shed`` hook, so the
-    registry and the report are written by one code path.
-    """
-
-    def __init__(self, obs: Instrumentation) -> None:
-        super().__init__()
-        self._obs = obs
-
-    def __getstate__(self) -> dict:
-        # A pickled ledger is a finished run's data record: drop the
-        # instrumentation (its clock closes over the executor), keep
-        # the accounting.  Mirroring resumes as a no-op.
-        state = self.__dict__.copy()
-        state["_obs"] = None
-        return state
-
-    def _mirror(self, tier_name: str, events_removed: int) -> None:
-        if self._obs is None:
-            return
-        reg = self._obs.registry
-        reg.counter(
-            "stream_shed_windows_total",
-            labels={"tier": tier_name},
-            help="windows a shedding tier touched (DROP_OLDEST: evicted)",
-        ).inc()
-        reg.counter(
-            "stream_shed_events_total",
-            labels={"tier": tier_name},
-            help="events removed per shedding tier",
-        ).inc(events_removed)
-        self._obs.shed(tier_name, events_removed)
-
-    def record(self, tier: ShedTier, events_before: int, events_after: int) -> None:
-        super().record(tier, events_before, events_after)
-        if tier is not ShedTier.NONE:
-            self._mirror(tier.name, events_before - events_after)
-
-    def record_window_drop(self, num_events: int) -> None:
-        super().record_window_drop(num_events)
-        self._mirror(ShedTier.DROP_OLDEST.name, num_events)
 
 
 @dataclass(frozen=True)
@@ -232,14 +187,14 @@ class StreamingExecutor:
     Args:
         primary: the pipeline (or predictor callable, or ``(name, fn)``)
             that should serve windows when healthy.
-        window_us: nominal window length of the stream (> 0); also sets
-            the arrival schedule.
+        window_us: nominal window length of the stream, in whole
+            microseconds (finite, >= 1); also sets the arrival schedule.
         fallbacks: cheaper stages tried, in order, when the primary's
             breaker refuses or its call fails.
         service: virtual-time cost model of one stage call.
-        queue_capacity: bound of the ingest queue.  A queued window
-            expires once it is older than :data:`DEADLINE_WINDOWS`
-            windows at service start.
+        queue_capacity: bound of the ingest queue (an ``int`` >= 1).  A
+            queued window expires once it is older than
+            :data:`DEADLINE_WINDOWS` windows at service start.
         shed_policy: watermarks + transform parameters of the shedding
             controller.
         breaker_policy: trip/recovery parameters shared by all stage
@@ -247,9 +202,6 @@ class StreamingExecutor:
         use_last_good: serve the most recent successful prediction when
             every stage fails or is refused.
         seed: seeds the breakers' half-open probe generators.
-        hooks: optional :class:`~repro.observability.ProfilingHooks`
-            fired from the per-run instrumentation (stage calls, window
-            outcomes, shed applications, breaker trips).
     """
 
     def __init__(
@@ -264,12 +216,11 @@ class StreamingExecutor:
         breaker_policy: BreakerPolicy | None = None,
         use_last_good: bool = True,
         seed: int = 0,
-        hooks: ProfilingHooks | None = None,
     ) -> None:
-        if window_us <= 0:
-            raise ValueError("window_us must be positive")
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
+        if not (math.isfinite(window_us) and window_us >= 1):
+            # The window is whole microseconds: 0.5 would truncate to 0.
+            raise ValueError("window_us must be finite and >= 1")
+        check_capacity(queue_capacity, "queue_capacity")
         used: set[str] = set()
         self._pipelines = [
             obj for obj in (primary, *fallbacks) if isinstance(obj, ParadigmPipeline)
@@ -280,12 +231,11 @@ class StreamingExecutor:
         self.window_us = int(window_us)
         self.service = service or ServiceModel()
         self.queue_capacity = queue_capacity
-        self.deadline_us = float(DEADLINE_WINDOWS * window_us)
+        self.deadline_us = float(DEADLINE_WINDOWS * self.window_us)
         self.shed_policy = shed_policy or ShedPolicy()
         self.breaker_policy = breaker_policy or BreakerPolicy()
         self.use_last_good = use_last_good
         self.seed = seed
-        self.hooks = hooks
         # Per-run state, exposed for inspection after run().
         self.breakers: dict[str, CircuitBreaker] = {}
         self.controller: ShedController | None = None
@@ -295,38 +245,16 @@ class StreamingExecutor:
     # ------------------------------------------------------------------
     # Run setup
     # ------------------------------------------------------------------
-    def _on_transition(self, transition: BreakerTransition) -> None:
-        """Mirror one breaker state change into the run instrumentation."""
-        self.obs.registry.counter(
-            "stream_breaker_transitions_total",
-            labels={"stage": transition.stage, "to": transition.to_state.value},
-            help="circuit-breaker state changes by destination state",
-        ).inc()
-        self.obs.trip(
-            transition.stage,
-            transition.from_state.value,
-            transition.to_state.value,
-        )
-
     def _reset(self) -> StreamReport:
         for pipeline in self._pipelines:
             pipeline._require_fitted()  # NotFittedError is a config error
         self._clock = 0.0
-        obs = Instrumentation(clock=lambda: self._clock, hooks=self.hooks)
+        obs = Instrumentation(clock=lambda: self._clock)
         self.obs = obs
         self.breakers = {
-            stage.name: CircuitBreaker(
-                stage.name,
-                self.breaker_policy,
-                self.seed,
-                on_transition=self._on_transition,
-            )
-            for stage in self.stages
+            name: CircuitBreaker(name, self.breaker_policy, self.seed)
+            for name in [s.name for s in self.stages] + [SHED_STAGE]
         }
-        self.breakers[SHED_STAGE] = CircuitBreaker(
-            SHED_STAGE, self.breaker_policy, self.seed,
-            on_transition=self._on_transition,
-        )
         self.controller = ShedController(
             self.shed_policy,
             self.service.sustainable_events_per_window(self.window_us),
@@ -354,17 +282,21 @@ class StreamingExecutor:
             )
             for o in _EVENT_OUTCOMES
         }
-        for tier in _SHED_TIERS:
-            reg.counter(
-                "stream_shed_windows_total",
-                labels={"tier": tier},
-                help="windows a shedding tier touched (DROP_OLDEST: evicted)",
+        self._shed = {
+            tier: (
+                reg.counter(
+                    "stream_shed_windows_total",
+                    labels={"tier": tier},
+                    help="windows a shedding tier touched (DROP_OLDEST: evicted)",
+                ),
+                reg.counter(
+                    "stream_shed_events_total",
+                    labels={"tier": tier},
+                    help="events removed per shedding tier",
+                ),
             )
-            reg.counter(
-                "stream_shed_events_total",
-                labels={"tier": tier},
-                help="events removed per shedding tier",
-            )
+            for tier in _SHED_TIERS
+        }
         stage_names = [s.name for s in self.stages] + [SHED_STAGE, LAST_GOOD_STAGE]
         self._stage_m = {
             name: {
@@ -392,7 +324,7 @@ class StreamingExecutor:
         self._queue_peak = reg.gauge(
             "stream_queue_depth_peak", help="deepest the ingest queue got"
         )
-        report = StreamReport(window_us=self.window_us, ledger=_InstrumentedLedger(obs))
+        report = StreamReport(window_us=self.window_us)
         for name in stage_names:
             report.stage_stats[name] = StageStats(name)
         return report
@@ -415,13 +347,10 @@ class StreamingExecutor:
                 cost = self.service.service_us(len(ticket.stream))
                 m["calls"].inc()
                 m["busy_us"].inc(cost)
-                obs.stage_start(stage.name, ticket.index)
                 with obs.tracer.span(f"call:{stage.name}"):
                     self._clock += cost
                     called, out = _call(lambda: stage.predict(ticket.stream))
-                ok = called and not is_bad_output(out)
-                obs.stage_end(stage.name, ticket.index, ok=ok)
-                if ok:
+                if called and not is_bad_output(out):
                     breaker.record_success(ticket.index)
                     m["successes"].inc()
                     value, served_by = out, stage.name
@@ -441,16 +370,13 @@ class StreamingExecutor:
                 m["calls"].inc()
                 m["successes"].inc()
                 m["busy_us"].inc(cache_cost)
-                obs.stage_start(LAST_GOOD_STAGE, ticket.index)
                 with obs.tracer.span(f"call:{LAST_GOOD_STAGE}"):
                     self._clock += cache_cost
-                obs.stage_end(LAST_GOOD_STAGE, ticket.index, ok=True)
                 value, served_by = self.last_good, LAST_GOOD_STAGE
 
             if served_by is None:
                 self._win["failed_serve"].inc()
                 self._evt["failed_serve"].inc(len(ticket.stream))
-                obs.window(ticket.index, "failed_serve")
                 return
             self.last_good = value
             self._win["processed"].inc()
@@ -460,7 +386,6 @@ class StreamingExecutor:
             self._latency.observe(latency)
             report.latencies_us.append(latency)
             report.predictions[ticket.index] = value
-            obs.window(ticket.index, "processed")
 
     def _drain(self, until_us: float, report: StreamReport) -> None:
         """Serve queued windows whose service can start before ``until_us``."""
@@ -475,7 +400,6 @@ class StreamingExecutor:
                 with self.obs.tracer.span("expire", index=head.index):
                     self._win["expired"].inc()
                     self._evt["expired"].inc(len(head.stream))
-                self.obs.window(head.index, "expired")
                 continue
             self._serve(head, start, report)
 
@@ -502,23 +426,19 @@ class StreamingExecutor:
                 self._evt["failed_ingest"].inc(offered_events)
                 shed = self.breakers[SHED_STAGE]
                 shed.record_failure(index, reason=f"unprofilable window: {exc}")
-                obs.window(index, "failed_ingest")
                 return
             tier = self.controller.update(self._queue.depth, burstiness, index)
 
             shed_breaker = self.breakers[SHED_STAGE]
-            applied = ShedTier.NONE
             if tier is not ShedTier.NONE and shed_breaker.allow(index):
                 m = self._stage_m[SHED_STAGE]
                 m["calls"].inc()
-                obs.stage_start(SHED_STAGE, index)
                 with obs.tracer.span(f"call:{SHED_STAGE}"):
                     called, out = _call(
                         lambda: self.controller.apply(window, report.ledger)
                     )
-                obs.stage_end(SHED_STAGE, index, ok=called)
                 if called:
-                    window, applied = out
+                    window, _ = out
                     shed_breaker.record_success(index)
                     m["successes"].inc()
                 else:
@@ -532,20 +452,16 @@ class StreamingExecutor:
                 if evicted is not None:
                     self._win["shed"].inc()
                     report.ledger.record_window_drop(len(evicted.stream))
-                    obs.window(evicted.index, "shed")
             ticket = WindowTicket(
                 index=index,
                 arrival_us=arrival_us,
                 deadline_us=arrival_us + self.deadline_us,
                 stream=window,
-                offered_events=offered_events,
-                tier=applied.name,
             )
             evicted = self._queue.push(ticket)
             if evicted is not None:
                 self._win["shed"].inc()
                 report.ledger.record_window_drop(len(evicted.stream))
-                obs.window(evicted.index, "shed")
 
     # ------------------------------------------------------------------
     # Entry point
@@ -598,14 +514,28 @@ class StreamingExecutor:
         return report
 
     def _finalise(self, report: StreamReport) -> None:
-        """Derive the report's scalar counters from the metrics registry.
+        """Close the run's one account: registry in, report out.
 
-        The registry is the only thing the hot paths increment; copying
-        its values here (instead of keeping parallel tallies) makes the
-        :class:`StreamReport` a view that cannot drift from the metrics
-        a scrape would see.
+        Window, event and stage counters are the only tallies the hot
+        paths increment; the report's scalars are copied from them, so
+        the :class:`StreamReport` is a view that cannot drift from the
+        metrics a scrape would see.  Two records are kept elsewhere
+        because they carry checks or state of their own — the shed
+        ledger (it rejects a transform that adds events) and each
+        breaker's transition log — and are copied into their registry
+        series here, once, at the end of the run.
         """
         self._queue_peak.max(self._queue.max_depth)
+        ledger = report.ledger
+        for tier, (windows, events) in self._shed.items():
+            windows.inc(ledger.windows_touched[tier])
+            events.inc(ledger.events_shed[tier])
+        for t in report.breaker_transitions:
+            self.obs.registry.counter(
+                "stream_breaker_transitions_total",
+                labels={"stage": t.stage, "to": t.to_state.value},
+                help="circuit-breaker state changes by destination state",
+            ).inc()
         report.offered = int(self._win["offered"].value)
         report.processed = int(self._win["processed"].value)
         report.expired = int(self._win["expired"].value)

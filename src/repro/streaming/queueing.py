@@ -15,11 +15,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from numbers import Integral
 
 from ..events.stream import EventStream
 
 __all__ = ["WindowTicket", "BoundedWindowQueue"]
+
+
+def check_capacity(capacity: object, name: str) -> None:
+    """Reject a queue bound that is not an ``int`` >= 1.
+
+    A float bound would silently switch the bound off (``nan``: every
+    depth comparison is False, so nothing is ever evicted) or loosen it
+    (``2.5`` holds three tickets).
+    """
+    if (
+        not isinstance(capacity, Integral)
+        or isinstance(capacity, bool)
+        or capacity < 1
+    ):
+        raise ValueError(f"{name} must be an int >= 1, got {capacity!r}")
 
 
 @dataclass
@@ -32,27 +47,12 @@ class WindowTicket:
         deadline_us: absolute virtual time after which starting service
             is pointless; the executor expires the ticket instead.
         stream: the (possibly shed) events of the window.
-        offered_events: event count as offered, before any shedding.
-        tier: name of the shedding tier applied at ingest.
     """
 
     index: int
     arrival_us: float
     deadline_us: float
     stream: EventStream
-    offered_events: int
-    tier: str = "NONE"
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable summary (events are not serialised)."""
-        return {
-            "index": self.index,
-            "arrival_us": self.arrival_us,
-            "deadline_us": self.deadline_us,
-            "num_events": len(self.stream),
-            "offered_events": self.offered_events,
-            "tier": self.tier,
-        }
 
 
 @dataclass
@@ -60,7 +60,7 @@ class BoundedWindowQueue:
     """Bounded FIFO of :class:`WindowTicket`, oldest evicted when full.
 
     Attributes:
-        capacity: maximum pending tickets.
+        capacity: maximum pending tickets (an ``int`` >= 1).
         max_depth: deepest the queue has been (high-watermark telemetry).
     """
 
@@ -69,11 +69,7 @@ class BoundedWindowQueue:
     _items: deque = field(default_factory=deque, repr=False)
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self._items)
+        check_capacity(self.capacity, "capacity")
 
     @property
     def depth(self) -> int:

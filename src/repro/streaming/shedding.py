@@ -244,16 +244,15 @@ class ShedController:
         policy: ShedPolicy | None = None,
         target_events_per_window: float | None = None,
     ) -> None:
-        if (
-            target_events_per_window is not None
-            and target_events_per_window <= 0
+        if target_events_per_window is not None and not (
+            math.isfinite(target_events_per_window)
+            and target_events_per_window > 0
         ):
-            raise ValueError("target_events_per_window must be positive")
+            raise ValueError("target_events_per_window must be finite and positive")
         self.policy = policy or ShedPolicy()
         self.target_events_per_window = target_events_per_window
         self.tier = ShedTier.NONE
         self.transitions: list[TierTransition] = []
-        self.tiers_engaged: set[ShedTier] = set()
 
     def _move(self, to: ShedTier, at_window: int, reason: str) -> None:
         if to is self.tier:
@@ -262,8 +261,6 @@ class ShedController:
             TierTransition(at_window, self.tier.name, to.name, reason)
         )
         self.tier = to
-        if to is not ShedTier.NONE:
-            self.tiers_engaged.add(to)
 
     def update(
         self, queue_depth: int, burstiness: float, at_window: int

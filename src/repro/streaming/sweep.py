@@ -30,6 +30,7 @@ opened must have re-closed through half-open probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -82,8 +83,10 @@ def calibrate_service(
         base_fraction: fraction of the window period charged as fixed
             per-window overhead.
     """
-    if headroom <= 0:
-        raise ValueError("headroom must be positive")
+    if not (math.isfinite(headroom) and headroom > 0):
+        # A non-finite headroom prices events at 0 us, which silently
+        # switches off the executor's shedding budget.
+        raise ValueError("headroom must be finite and positive")
     if not 0.0 <= base_fraction < 1.0:
         raise ValueError("base_fraction must be in [0, 1)")
     base_us = base_fraction * window_us

@@ -1,4 +1,4 @@
-"""Tests for the observability substrate: metrics, tracing, export, hooks."""
+"""Tests for the observability substrate: metrics, tracing, export."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.observability import (
     DEFAULT_BUCKETS,
     Instrumentation,
     MetricsRegistry,
-    ProfilingHooks,
     SNAPSHOT_SCHEMA,
     Tracer,
     exponential_buckets,
@@ -245,39 +244,6 @@ class TestExport:
         assert any("counts" in p for p in validate_snapshot(broken))
         del snap["trace"]
         assert any("trace" in p for p in validate_snapshot(snap))
-
-
-class TestInstrumentationHooks:
-    def test_hooks_fire_with_arguments(self):
-        calls = []
-        hooks = ProfilingHooks(
-            on_stage_start=lambda s, i: calls.append(("start", s, i)),
-            on_stage_end=lambda s, i, ok: calls.append(("end", s, i, ok)),
-            on_window=lambda i, o: calls.append(("window", i, o)),
-            on_shed=lambda t, n: calls.append(("shed", t, n)),
-            on_trip=lambda s, f, t: calls.append(("trip", s, f, t)),
-        )
-        obs = Instrumentation(hooks=hooks)
-        obs.stage_start("fit", 3)
-        obs.stage_end("fit", 3, ok=False)
-        obs.window(9, "processed")
-        obs.shed("SUBSAMPLE", 120)
-        obs.trip("primary", "closed", "open")
-        assert calls == [
-            ("start", "fit", 3),
-            ("end", "fit", 3, False),
-            ("window", 9, "processed"),
-            ("shed", "SUBSAMPLE", 120),
-            ("trip", "primary", "closed", "open"),
-        ]
-
-    def test_none_hooks_are_noops(self):
-        obs = Instrumentation()
-        obs.stage_start("fit")
-        obs.stage_end("fit")
-        obs.window(0, "processed")
-        obs.shed("SUBSAMPLE", 1)
-        obs.trip("s", "closed", "open")  # nothing raises
 
 
 class TestDeterminismLint:

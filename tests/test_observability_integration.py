@@ -13,22 +13,9 @@ import pytest
 from repro.core import NotFittedError, ParadigmPipeline
 from repro.datasets import make_shapes_dataset, train_test_split
 from repro.events import Resolution
-from repro.observability import (
-    Instrumentation,
-    ProfilingHooks,
-    to_json,
-    validate_snapshot,
-)
+from repro.observability import Instrumentation, to_json, validate_snapshot
 from repro.reliability import HardenedRunner, UniformDrop
-from repro.streaming import (
-    BreakerPolicy,
-    ServiceModel,
-    ShedPolicy,
-    StreamingExecutor,
-    TransientOutage,
-    make_bursty_stream,
-    run_overload_demo,
-)
+from repro.streaming import run_overload_demo
 
 
 class TestStreamingEndToEnd:
@@ -76,6 +63,45 @@ class TestStreamingEndToEnd:
             calls = reg.counter_value("stream_stage_calls_total", {"stage": stage})
             assert counts.get(f"call:{stage}", 0) == calls
 
+    def test_registry_trace_and_report_are_one_account(self, demo):
+        """Every fact of the run is in the registry once and reconciles
+        with the trace, the report, the shed ledger and the breakers'
+        transition logs."""
+        report, executor = demo
+        reg = executor.obs.registry
+        spans = executor.obs.tracer.span_counts()
+        for stage, stats in report.stage_stats.items():
+            calls = reg.counter_value("stream_stage_calls_total", {"stage": stage})
+            assert spans.get(f"call:{stage}", 0) == calls == stats.calls, stage
+        assert any(stats.calls for stats in report.stage_stats.values())
+
+        def win(outcome):
+            return reg.counter_value("stream_windows_total", {"outcome": outcome})
+
+        outcomes = ("processed", "expired", "shed", "failed_ingest", "failed_serve")
+        assert sum(win(o) for o in outcomes) == win("offered") == report.offered
+
+        transitions = {}
+        for t in report.breaker_transitions:
+            key = (t.stage, t.to_state.value)
+            transitions[key] = transitions.get(key, 0) + 1
+        assert transitions, "the demo's outage should move a breaker"
+        counted = {
+            (c["labels"]["stage"], c["labels"]["to"]): c["value"]
+            for c in reg.snapshot()["counters"]
+            if c["name"] == "stream_breaker_transitions_total"
+        }
+        assert counted == transitions
+
+        assert report.ledger.total_events_shed > 0
+        for tier, events in report.ledger.events_shed.items():
+            labels = {"tier": tier}
+            assert reg.counter_value("stream_shed_events_total", labels) == events
+            assert (
+                reg.counter_value("stream_shed_windows_total", labels)
+                == report.ledger.windows_touched[tier]
+            )
+
     def test_snapshot_valid_and_latency_count_matches(self, demo):
         report, executor = demo
         snap = executor.snapshot()
@@ -92,55 +118,6 @@ class TestStreamingEndToEnd:
         assert to_json(executor2.snapshot()) == first
         report3, executor3 = run_overload_demo(seed=1)
         assert to_json(executor3.snapshot()) != first
-
-
-class TestExecutorHooks:
-    def test_hooks_fire_through_the_executor(self):
-        calls = {"start": 0, "end": 0, "window": [], "shed": [], "trip": []}
-        hooks = ProfilingHooks(
-            on_stage_start=lambda s, i: calls.__setitem__("start", calls["start"] + 1),
-            on_stage_end=lambda s, i, ok: calls.__setitem__("end", calls["end"] + 1),
-            on_window=lambda i, o: calls["window"].append(o),
-            on_shed=lambda t, n: calls["shed"].append((t, n)),
-            on_trip=lambda s, f, t: calls["trip"].append((s, f, t)),
-        )
-        window_us = 10_000
-        stream = make_bursty_stream(
-            num_windows=120,
-            window_us=window_us,
-            base_events_per_window=200,
-            burst_factor=8.0,
-            burst_windows=(40, 80),
-            seed=0,
-        )
-        executor = StreamingExecutor(
-            ("primary", TransientOutage(lambda s: 0, fail_from_call=10, fail_calls=6)),
-            window_us=window_us,
-            fallbacks=[("fallback", lambda s: 1)],
-            service=ServiceModel(base_us=1000.0, per_event_us=45.0),
-            queue_capacity=12,
-            shed_policy=ShedPolicy(high_watermark=8, low_watermark=2),
-            breaker_policy=BreakerPolicy(
-                failure_threshold=3,
-                cooldown_calls=4,
-                probe_probability=0.6,
-                success_threshold=2,
-            ),
-            seed=0,
-            hooks=hooks,
-        )
-        report = executor.run(stream, load_factor=1.0)
-        assert report.accounting_errors() == []
-        # Every offered window reaches exactly one terminal outcome hook.
-        assert len(calls["window"]) == report.offered
-        reg = executor.obs.registry
-        assert calls["start"] == calls["end"]
-        assert calls["start"] == reg.counter_total("stream_stage_calls_total")
-        # The outage trips the breaker; the burst engages shedding.
-        assert ("primary", "closed", "open") in calls["trip"]
-        assert len(calls["trip"]) == len(report.breaker_transitions)
-        assert calls["shed"]
-        assert sum(n for _, n in calls["shed"]) == report.ledger.total_events_shed
 
 
 class TinyPipeline(ParadigmPipeline):
@@ -237,13 +214,7 @@ class TestRunnerInstrumentation:
 
     def test_guard_counters_records_and_hooks_reconcile(self, shapes_split):
         train, test = shapes_split
-        windows, stage_ends = [], []
-        obs = Instrumentation(
-            hooks=ProfilingHooks(
-                on_window=lambda i, o: windows.append((i, o)),
-                on_stage_end=lambda stage, i, ok: stage_ends.append((stage, ok)),
-            )
-        )
+        obs = Instrumentation()
         runner = HardenedRunner(TinyPipeline(), instrumentation=obs)
         assert runner.pipeline.instrumentation is obs
         assert runner.fit(train).ok
@@ -261,13 +232,11 @@ class TestRunnerInstrumentation:
         assert calls("fit") == 1
         assert predicts == len(report.records) - counts["quarantined"]
         assert reg.counter_total("pipeline_stage_failures_total") == 0
-        assert stage_ends == [("fit", True)] + [("predict", True)] * int(predicts)
         # Per-outcome record counters mirror the report exactly.
         for outcome, want in counts.items():
             got = reg.counter_value("runner_records_total", {"outcome": outcome})
             assert got == want, outcome
-        assert len(windows) == len(report.records)
-        assert [i for i, _ in windows] == [r.index for r in report.records]
+        assert reg.counter_total("runner_records_total") == len(report.records)
         # One span per stage call.
         span_counts = obs.tracer.span_counts()
         assert span_counts["TINY.fit"] == 1

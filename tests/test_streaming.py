@@ -112,7 +112,7 @@ class TestCircuitBreaker:
     def test_nan_trip_counted(self):
         b = CircuitBreaker("s", BreakerPolicy(failure_threshold=1))
         b.record_failure(0, nan_output=True)
-        assert b.nan_trips == 1
+        assert b.state is BreakerState.OPEN
         assert "non-finite" in b.transitions[0].reason
 
     def test_policy_validation(self):
@@ -256,6 +256,11 @@ class TestShedController:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ShedPolicy(**{field: value})
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_event_budget(self, target):
+        with pytest.raises(ValueError, match="target_events_per_window"):
+            ShedController(ShedPolicy(), target_events_per_window=target)
+
     def test_ledger_rejects_added_events(self):
         ledger = ShedLedger()
         with pytest.raises(ValueError):
@@ -267,7 +272,7 @@ class TestShedController:
 # ----------------------------------------------------------------------
 class TestBoundedWindowQueue:
     def _ticket(self, i):
-        return WindowTicket(i, float(i), float(i) + 100.0, make_stream(5), 5)
+        return WindowTicket(i, float(i), float(i) + 100.0, make_stream(5))
 
     def test_evicts_oldest_when_full(self):
         q = BoundedWindowQueue(2)
@@ -293,6 +298,13 @@ class TestBoundedWindowQueue:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             BoundedWindowQueue(0)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), 2.5, 1.0])
+    def test_capacity_must_be_an_int(self, capacity):
+        # A nan bound compares False against every depth and so would
+        # never evict; a float bound is rejected outright.
+        with pytest.raises(ValueError, match="capacity"):
+            BoundedWindowQueue(capacity)
 
 
 # ----------------------------------------------------------------------
