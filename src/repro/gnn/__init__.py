@@ -14,7 +14,6 @@ from .build import (
     limit_in_degree,
     make_causal,
     radius_graph,
-    radius_graph_spatial_hash_reference,
 )
 from .compact import (
     CompactEventGraph,
@@ -25,14 +24,6 @@ from .compact import (
 )
 from .detection import EventGNNLocalizer, fit_localizer, localisation_error
 from .graph import EventGraph
-from .representation import (
-    REPRESENTATIONS,
-    CompactGraphRepresentation,
-    DenseGraphRepresentation,
-    GraphRepresentation,
-    get_representation,
-    subsample_stream,
-)
 from .hierarchical import HierarchicalEventGNN
 from .layers import EdgeConv, GCNConv, SplineConvLite, scatter_max, scatter_mean, scatter_sum
 from .models import (
@@ -41,6 +32,7 @@ from .models import (
     build_event_graph,
     evaluate_gnn,
     fit_gnn,
+    subsample_stream,
 )
 from .pooling import global_max_pool, global_mean_pool, voxel_pool_graph
 
@@ -51,11 +43,6 @@ __all__ = [
     "quantize_unit",
     "dequantize_unit",
     "quantize_offsets",
-    "GraphRepresentation",
-    "DenseGraphRepresentation",
-    "CompactGraphRepresentation",
-    "REPRESENTATIONS",
-    "get_representation",
     "subsample_stream",
     "radius_graph",
     "RADIUS_GRAPH_METHODS",
@@ -63,7 +50,6 @@ __all__ = [
     "EventGNNLocalizer",
     "fit_localizer",
     "localisation_error",
-    "radius_graph_spatial_hash_reference",
     "knn_graph",
     "make_causal",
     "limit_in_degree",

@@ -562,37 +562,3 @@ class AsyncEventGNN:
         return EventGraph(
             positions, features, self._inserter.edges(), self._inserter.time_scale_us
         )
-
-    def built_compact_graph(self, quantization_bits: int = 8):
-        """The graph accumulated so far, exported compact (SoA, quantized).
-
-        Unbounded mode only (same restriction as :meth:`built_graph`).
-        The export packs the engine's raw columns into a
-        :class:`~repro.gnn.compact.CompactEventGraph`; with
-        ``quantization_bits=0`` the result reconstructs this engine's
-        positions and features bitwise.
-        """
-        if self.max_live_nodes is not None:
-            raise RuntimeError(
-                "built_compact_graph() requires the unbounded engine; "
-                "bounded mode recycles node storage and keeps no edge log"
-            )
-        from .compact import CompactEventGraph
-
-        w = self._window
-        n = w.count
-        pos = w.pos[:n]
-        polarity = np.where(w.x0[:n, 0] == 1.0, 1, -1).astype(np.int8)
-        return CompactEventGraph.from_columns(
-            pos[:, 0].astype(np.int64) if n else np.zeros(0, dtype=np.int64),
-            pos[:, 1].astype(np.int64) if n else np.zeros(0, dtype=np.int64),
-            w.t[:n],
-            polarity,
-            self._inserter.edges(),
-            time_scale_us=self._inserter.time_scale_us,
-            radius=self.radius,
-            max_degree=self.max_degree,
-            quantization_bits=quantization_bits,
-            include_position=self.include_position,
-            resolution=self.resolution,
-        )

@@ -6,15 +6,18 @@ events into a continuously evolving event-graph (generally based on
 tree-search methods [75]) — although algorithmic innovations have
 already resulted in a four order of magnitude speed-up [72]".
 
-Three radius-graph constructors with identical outputs but different
-complexity are provided — brute force O(N^2), k-d tree (the tree-search
-baseline) and spatial hashing — plus k-nearest-neighbour graphs and the
-*causal* variants (edges from past to future only) that asynchronous
-processing requires.  The incremental, per-event builder that realises
-the HUGNet-style speed-up lives in :mod:`repro.gnn.asynchronous`.
+Two radius-graph constructors with identical outputs but different
+complexity are provided — the k-d tree (the tree-search baseline, and
+the default) and its brute-force O(N^2) oracle — plus
+k-nearest-neighbour graphs and the *causal* variants (edges from past
+to future only) that asynchronous processing requires.  The
+incremental, per-event builder that realises the HUGNet-style speed-up
+lives in :mod:`repro.gnn.asynchronous`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -22,7 +25,6 @@ from scipy.spatial import cKDTree
 __all__ = [
     "radius_graph",
     "RADIUS_GRAPH_METHODS",
-    "radius_graph_spatial_hash_reference",
     "knn_graph",
     "make_causal",
     "limit_in_degree",
@@ -60,14 +62,8 @@ def _radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
     """``radius_graph(method="naive")``: all pairs within ``radius``, O(N^2).
 
     Self-loops are excluded; both directions of each pair are included.
-    Retained as the brute-force oracle the fast methods are pinned to.
+    Retained as the brute-force oracle the k-d tree is pinned to.
     """
-    points = _check_points(points)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    n = points.shape[0]
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     diff = points[:, None, :] - points[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     mask = dist2 <= radius * radius
@@ -78,197 +74,45 @@ def _radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
 
 def _radius_graph_kdtree(points: np.ndarray, radius: float) -> np.ndarray:
     """``radius_graph(method="kdtree")``: the tree-search method of ref [75]."""
-    points = _check_points(points)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if points.shape[0] == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     both = np.concatenate([pairs, pairs[:, ::-1]])
     return _canonical(both.astype(np.int64))
 
 
-def radius_graph_spatial_hash_reference(
-    points: np.ndarray, radius: float
-) -> np.ndarray:
-    """Loop-based reference for ``radius_graph(method="spatial_hash")``.
-
-    Kept as the readable oracle the vectorized implementation is
-    validated against (see ``tests/test_hotpath_equivalence.py``); use
-    the vectorized version everywhere else.
-    """
-    points = _check_points(points)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    n = points.shape[0]
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    cells = np.floor(points / radius).astype(np.int64)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for i, c in enumerate(map(tuple, cells)):
-        buckets.setdefault(c, []).append(i)
-
-    r2 = radius * radius
-    src_list: list[int] = []
-    dst_list: list[int] = []
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    for i in range(n):
-        cx, cy, cz = cells[i]
-        p = points[i]
-        for dx, dy, dz in offsets:
-            neighbours = buckets.get((cx + dx, cy + dy, cz + dz))
-            if not neighbours:
-                continue
-            for j in neighbours:
-                if j == i:
-                    continue
-                d = points[j] - p
-                if d @ d <= r2:
-                    src_list.append(i)
-                    dst_list.append(j)
-    if not src_list:
-        return np.zeros((0, 2), dtype=np.int64)
-    return _canonical(np.stack([src_list, dst_list], axis=1).astype(np.int64))
-
-
-def _radius_graph_spatial_hash(points: np.ndarray, radius: float) -> np.ndarray:
-    """``radius_graph(method="spatial_hash")``: uniform-grid spatial hashing.
-
-    Points are bucketed into cells of side ``radius``; each point is
-    only compared against the 27 neighbouring cells.  For bounded point
-    density this is O(N) — the algorithmic ingredient behind real-time
-    event-graph updates.
-
-    The buckets are sorted cell-key arrays rather than dict-of-lists:
-    points are sorted by a packed integer cell key, each neighbour-cell
-    offset becomes one ``searchsorted`` against the unique keys (probed
-    with sorted needles, so the binary searches stay cache-resident),
-    and all candidate pairs are gathered and distance-tested in a
-    handful of array operations.  Only the 13 lexicographically
-    positive offsets plus the home cell are probed — each unordered
-    pair is distance-tested once and mirrored afterwards.
-    """
-    points = _check_points(points)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    n = points.shape[0]
-    if n == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    cells = np.floor(points / radius).astype(np.int64)
-    # Shift to non-negative and pad by one so neighbour offsets of -1
-    # stay representable without wrapping into an adjacent row/plane.
-    cells = cells - cells.min(axis=0) + 1
-    span = cells.max(axis=0) + 2
-    if float(span[0]) * float(span[1]) * float(span[2]) >= 2**62:
-        # Packed keys would overflow int64 (astronomically spread input);
-        # fall back to the dict-based reference.
-        return radius_graph_spatial_hash_reference(points, radius)
-    keys = (cells[:, 0] * span[1] + cells[:, 1]) * span[2] + cells[:, 2]
-
-    if float(keys.max() + 1) * float(n) < 2**62:
-        # Append the point index to the key: a plain value sort then
-        # replaces the much slower stable argsort.
-        packed = np.sort(keys * n + np.arange(n))  # sort-ok: packed keys are unique
-        order = packed % n
-        sorted_keys = packed // n
-    else:
-        # Stable, so tied keys keep point order and the edge list matches
-        # the packed fast path exactly (default introsort reorders ties).
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-    uniq_keys, bucket_start = np.unique(sorted_keys, return_index=True)
-    bucket_count = np.diff(np.append(bucket_start, n))
-
-    # Home-cell probe: every point against its own bucket (self and the
-    # mirrored half of each pair are filtered triangularly below).
-    slot_home = np.searchsorted(uniq_keys, sorted_keys)
-    src_pos = [np.arange(n)]
-    q_start = [bucket_start[slot_home]]
-    q_count = [bucket_count[slot_home]]
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if (dx, dy, dz) <= (0, 0, 0):
-                    continue
-                d_key = (dx * span[1] + dy) * span[2] + dz
-                probe = sorted_keys + d_key
-                slot = np.searchsorted(uniq_keys, probe)
-                slot_c = np.minimum(slot, uniq_keys.size - 1)
-                hit = uniq_keys[slot_c] == probe
-                src_pos.append(np.flatnonzero(hit))
-                q_start.append(bucket_start[slot_c[hit]])
-                q_count.append(bucket_count[slot_c[hit]])
-
-    home_queries = n
-    src_pos = np.concatenate(src_pos)
-    q_start = np.concatenate(q_start)
-    q_count = np.concatenate(q_count)
-    total = int(q_count.sum())
-    if total == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    # Expand each (point, bucket) probe into candidate sorted-positions:
-    # candidate m of probe q sits at q_start[q] + m.
-    out_end = np.cumsum(q_count)
-    flat = np.arange(total) - np.repeat(out_end - q_count, q_count)
-    cand_pos = flat + np.repeat(q_start, q_count)
-    src_exp = np.repeat(src_pos, q_count)
-    # Home-cell probes came first: keep each unordered in-cell pair once.
-    home_total = int(out_end[home_queries - 1]) if home_queries else 0
-    keep = np.ones(total, dtype=bool)
-    keep[:home_total] = src_exp[:home_total] < cand_pos[:home_total]
-
-    a = order[src_exp[keep]]
-    b = order[cand_pos[keep]]
-    d = points[a] - points[b]
-    within = np.einsum("ij,ij->i", d, d) <= radius * radius
-    a, b = a[within], b[within]
-    if a.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    both = np.empty((2 * a.size, 2), dtype=np.int64)
-    both[: a.size, 0], both[: a.size, 1] = a, b
-    both[a.size :, 0], both[a.size :, 1] = b, a
-    return _canonical(both)
-
-
-#: ``radius_graph`` dispatch table.  "naive" and "kdtree" are retained
-#: as reference oracles (their outputs are identical by construction and
-#: pinned by tests); "spatial_hash" is the production default.
-RADIUS_GRAPH_METHODS = ("naive", "kdtree", "spatial_hash")
+#: ``radius_graph`` dispatch table: "kdtree" is the default, "naive"
+#: the brute-force oracle it is pinned to by tests.
+RADIUS_GRAPH_METHODS = ("naive", "kdtree")
 
 
 def radius_graph(
-    points: np.ndarray, radius: float, method: str = "spatial_hash"
+    points: np.ndarray, radius: float, method: str = "kdtree"
 ) -> np.ndarray:
     """All directed pairs within ``radius`` — the single entry point.
 
-    Consolidates the three construction algorithms behind one call;
-    every method returns the identical canonical edge list, so
-    ``method`` selects complexity only; "naive" and "kdtree" are the
-    oracles the tests pin "spatial_hash" to.
+    Both methods return the identical canonical edge list, so ``method``
+    selects complexity only.
 
     Args:
         points: ``(N, 3)`` spatiotemporal point cloud.
-        radius: connection radius.
+        radius: connection radius, positive and finite.
         method: one of :data:`RADIUS_GRAPH_METHODS`.
     """
-    if method == "spatial_hash":
-        return _radius_graph_spatial_hash(points, radius)
+    if method not in RADIUS_GRAPH_METHODS:
+        raise ValueError(
+            f"unknown radius_graph method {method!r} "
+            f"(expected one of {RADIUS_GRAPH_METHODS})"
+        )
+    points = _check_points(points)
+    # ``not r > 0`` also rejects nan; isfinite rejects inf.
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite")
+    if points.shape[0] == 0:
+        return np.zeros((0, 2), dtype=np.int64)
     if method == "kdtree":
         return _radius_graph_kdtree(points, radius)
-    if method == "naive":
-        return _radius_graph_naive(points, radius)
-    raise ValueError(
-        f"unknown radius_graph method {method!r} "
-        f"(expected one of {RADIUS_GRAPH_METHODS})"
-    )
+    return _radius_graph_naive(points, radius)
 
 
 def knn_graph(points: np.ndarray, k: int) -> np.ndarray:

@@ -16,8 +16,9 @@ representation for the reproduction:
   node, ``max_degree`` slots) instead of a dense ``int64`` edge list.
   Edge attributes are not stored at all — they are re-derived from the
   integer coordinates on demand and quantized to a signed integer grid.
-* :class:`CompactGraphBuilder` — incremental (per-event or batched)
-  construction on top of the :class:`~repro.gnn.asynchronous.
+* :class:`CompactGraphBuilder` — the one way to pack events into a
+  compact graph: incremental (per-event or batched) construction on
+  top of the :class:`~repro.gnn.asynchronous.
   HashInserter` and its :class:`~repro.gnn.asynchronous.LiveWindow`
   node store, so the representation composes with
   :class:`~repro.gnn.AsyncEventGNN`'s bounded mode: with
@@ -37,6 +38,8 @@ measures.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -114,37 +117,6 @@ def quantize_offsets(
     return q, scale
 
 
-def _pack_neighbours(
-    edges: np.ndarray, num_nodes: int, max_degree: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pack a causal edge list into the fixed-width delta table.
-
-    Returns ``(nbr, ov_src, ov_dst)``: the ``(N, max_degree)`` uint16
-    delta table plus the int64 overflow pairs for deltas ``>= 0xFFFF``.
-    """
-    nbr = np.zeros((num_nodes, max_degree), dtype=np.uint16)
-    if edges.size == 0:
-        return nbr, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    src = edges[:, 0].astype(np.int64)
-    dst = edges[:, 1].astype(np.int64)
-    delta = dst - src
-    if np.any(delta < 1):
-        raise ValueError("compact edges must be causal (src < dst)")
-    order = np.lexsort((src, dst))
-    src, dst, delta = src[order], dst[order], delta[order]
-    head = np.empty(dst.size, dtype=bool)
-    head[0] = True
-    head[1:] = dst[1:] != dst[:-1]
-    starts = np.flatnonzero(head)
-    counts = np.diff(np.append(starts, dst.size))
-    if int(counts.max()) > max_degree:
-        raise ValueError("edge list exceeds the in-degree cap")
-    rank = np.arange(dst.size) - np.repeat(starts, counts)
-    over = delta >= NBR_OVERFLOW
-    nbr[dst, rank] = np.where(over, NBR_OVERFLOW, delta).astype(np.uint16)
-    return nbr, src[over], dst[over]
-
-
 class CompactEventGraph:
     """Fixed-degree, directed, integer-quantized event graph (SoA).
 
@@ -163,6 +135,9 @@ class CompactEventGraph:
     offers the grid-quantized edge offsets the classifier feeds to its
     convolutions.
 
+    The constructor takes columns that are already packed;
+    :class:`CompactGraphBuilder` packs them from events.
+
     Args:
         x, y: ``(N,)`` pixel coordinates (stored ``uint16``).
         t_off: ``(N,)`` microsecond offsets against ``t_base``
@@ -172,8 +147,9 @@ class CompactEventGraph:
             ``quantization_bits >= 1``, raw float64 when 0.
         nbr: ``(N, max_degree)`` uint16 neighbour delta table.
         ov_src, ov_dst: int64 overflow edge endpoints.
-        time_scale_us: microseconds per temporal unit.
-        radius: connection radius (sets the edge-offset grid).
+        time_scale_us: microseconds per temporal unit (positive, finite).
+        radius: connection radius, positive and finite (sets the
+            edge-offset grid).
         quantization_bits: feature/offset grid width; 0 disables
             quantization (lossless mode).
     """
@@ -195,8 +171,9 @@ class CompactEventGraph:
         radius: float,
         quantization_bits: int,
     ) -> None:
-        if time_scale_us <= 0 or radius <= 0:
-            raise ValueError("time_scale_us and radius must be positive")
+        # ``not x > 0`` also rejects nan; isfinite rejects inf.
+        if not all(v > 0 and math.isfinite(v) for v in (time_scale_us, radius)):
+            raise ValueError("time_scale_us and radius must be positive and finite")
         if not (quantization_bits == 0 or 2 <= quantization_bits <= 16):
             raise ValueError("quantization_bits must be 0 or in [2, 16]")
         self.x = np.ascontiguousarray(x, dtype=np.uint16)
@@ -231,83 +208,6 @@ class CompactEventGraph:
         self._positions: np.ndarray | None = None
         self._features: np.ndarray | None = None
         self._edges: np.ndarray | None = None
-
-    # -- construction --------------------------------------------------
-    @classmethod
-    def from_columns(
-        cls,
-        x: np.ndarray,
-        y: np.ndarray,
-        t_us: np.ndarray,
-        p: np.ndarray,
-        edges: np.ndarray,
-        *,
-        time_scale_us: float,
-        radius: float,
-        max_degree: int,
-        quantization_bits: int = 8,
-        include_position: bool = False,
-        resolution=None,
-    ) -> "CompactEventGraph":
-        """Pack raw event columns and a causal edge list.
-
-        Node features follow :meth:`EventGraph.from_stream <repro.gnn.
-        graph.EventGraph.from_stream>`: polarity one-hot, plus
-        normalised absolute coordinates when ``include_position``.
-
-        Args:
-            x, y: pixel coordinates (must fit ``uint16``).
-            t_us: int64 microsecond timestamps; their span must fit
-                ``uint32`` (~71 minutes).
-            p: +1/-1 polarities.
-            edges: ``(E, 2)`` causal (src < dst) pairs, in-degree at
-                most ``max_degree``.
-            time_scale_us, radius, max_degree, quantization_bits: see
-                the class docstring.
-            include_position: append ``x/W, y/H`` feature columns.
-            resolution: sensor resolution, required with
-                ``include_position``.
-        """
-        if max_degree <= 0:
-            raise ValueError("max_degree must be positive")
-        x = np.asarray(x)
-        y = np.asarray(y)
-        t_us = np.asarray(t_us, dtype=np.int64)
-        p = np.asarray(p)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        n = x.size
-        if n and (x.min() < 0 or x.max() > 0xFFFF or y.min() < 0 or y.max() > 0xFFFF):
-            raise ValueError("coordinates must fit uint16")
-        t_base = int(t_us[0]) if n else 0
-        span = int(t_us.max()) - t_base if n else 0
-        if span < 0 or span >= 1 << 32:
-            raise ValueError("timestamp span must be non-negative and fit uint32")
-        columns = [
-            (p == 1).astype(np.float64),
-            (p == -1).astype(np.float64),
-        ]
-        if include_position:
-            if resolution is None:
-                raise ValueError("resolution is required with include_position")
-            columns.append(x.astype(np.float64) / resolution.width)
-            columns.append(y.astype(np.float64) / resolution.height)
-        features = np.stack(columns, axis=1) if n else np.zeros((0, len(columns)))
-        if quantization_bits:
-            features = quantize_unit(features, quantization_bits)
-        nbr, ov_src, ov_dst = _pack_neighbours(edges, n, max_degree)
-        return cls(
-            x,
-            y,
-            (t_us - t_base).astype(np.uint32),
-            t_base,
-            features,
-            nbr,
-            ov_src,
-            ov_dst,
-            time_scale_us,
-            radius,
-            quantization_bits,
-        )
 
     # -- dense-API surface ---------------------------------------------
     @property

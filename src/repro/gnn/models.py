@@ -18,12 +18,20 @@ from ..datasets.base import EventDataset
 from ..events.stream import EventStream
 from ..nn import Adam, Tensor, cross_entropy, no_grad, stable_matmul
 from ..nn.layers import Linear, Module
+from .asynchronous import HashInserter
+from .compact import CompactGraphBuilder
 from .graph import EventGraph
 from .layers import EdgeConv, SplineConvLite
 from .pooling import global_max_pool
-from .representation import get_representation
 
-__all__ = ["GraphBuildConfig", "build_event_graph", "EventGNNClassifier", "fit_gnn", "evaluate_gnn"]
+__all__ = [
+    "GraphBuildConfig",
+    "build_event_graph",
+    "subsample_stream",
+    "EventGNNClassifier",
+    "fit_gnn",
+    "evaluate_gnn",
+]
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class GraphBuildConfig:
         representation: graph storage layout — "dense" (the historical
             :class:`EventGraph`) or "compact" (the memory-bounded
             :class:`~repro.gnn.compact.CompactEventGraph`); see
-            :mod:`repro.gnn.representation`.
+            :func:`build_event_graph`.
         quantization_bits: feature/edge-offset grid width of the
             compact representation (0 disables quantization, making
             compact bitwise-equivalent to dense; ignored by dense).
@@ -81,15 +89,82 @@ class GraphBuildConfig:
             raise ValueError("graph builds require causal=True (past -> future edges)")
 
 
+def subsample_stream(stream: EventStream, max_events: int) -> EventStream:
+    """Uniform-stride subsample bounding graph size (both layouts)."""
+    if len(stream) > max_events:
+        idx = np.linspace(0, len(stream) - 1, max_events).astype(np.int64)
+        stream = stream[np.unique(idx)]
+    return stream
+
+
+def _causal_capped_edges(stream: EventStream, config: GraphBuildConfig) -> np.ndarray:
+    """The capped causal edge set of a time-ordered stream, canonical order.
+
+    Runs the sliced :meth:`HashInserter.insert_many` kernel with an
+    unbounded liveness window, so memory follows one slice plus the
+    edge list rather than the all-pairs radius graph.  Equal to
+    ``limit_in_degree(make_causal(radius_graph(points, r), points), points, k)``
+    (a tested invariant).
+    """
+    soa = stream.soa()
+    n = len(soa)
+    if n >= 1 << 31:
+        raise ValueError("a dense causal build packs edges in int64: < 2**31 events")
+    inserter = HashInserter(
+        config.radius,
+        time_scale_us=config.time_scale_us,
+        window_us=1 << 62,
+        max_neighbours=config.max_degree,
+    )
+    # Each edge as one packed (src, dst) int64: 8 B per edge while the
+    # kernel runs, sorted into canonical order at the end.
+    parts: list[np.ndarray] = []
+    inserter._insert_sliced(
+        *inserter._columns(soa.x, soa.y, soa.t),
+        lambda src, dst: parts.append(src * n + dst),
+    )
+    keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    del parts
+    keys.sort()  # packed (src, dst) pairs are unique: a plain value sort
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.floor_divide(keys, n, out=edges[:, 0])
+    np.remainder(keys, n, out=edges[:, 1])
+    return edges
+
+
 def build_event_graph(stream: EventStream, config: GraphBuildConfig):
     """Construct the classification graph for one recording.
 
-    Routes through the representation registry
-    (:mod:`repro.gnn.representation`): ``config.representation``
-    selects dense or compact storage declaratively; both produce the
-    same capped causal edge set.
+    ``config.representation`` selects the storage: "dense" wraps the
+    edge list in an :class:`EventGraph`, "compact" packs a
+    :class:`~repro.gnn.compact.CompactEventGraph` through
+    :class:`~repro.gnn.compact.CompactGraphBuilder`.  Both subsample
+    the stream identically and take the same capped causal edge set
+    from one kernel, :meth:`HashInserter.insert_many` (pinned to the
+    ``radius_graph → make_causal → limit_in_degree`` oracle by tests),
+    so the layouts differ only in storage and, when enabled,
+    quantization; ``quantization_bits=0`` makes compact bitwise
+    equivalent to dense.
     """
-    return get_representation(config.representation).build(stream, config)
+    stream = subsample_stream(stream, config.max_events)
+    if config.representation == "dense":
+        return EventGraph.from_stream(
+            stream,
+            _causal_capped_edges(stream, config),
+            config.time_scale_us,
+            include_position=config.include_position,
+        )
+    soa = stream.soa()
+    builder = CompactGraphBuilder(
+        radius=config.radius,
+        time_scale_us=config.time_scale_us,
+        max_degree=config.max_degree,
+        quantization_bits=config.quantization_bits,
+        include_position=config.include_position,
+        resolution=stream.resolution,
+    )
+    builder.extend(soa.x, soa.y, soa.t, soa.p)
+    return builder.graph()
 
 
 class EventGNNClassifier(Module):

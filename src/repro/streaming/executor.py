@@ -217,9 +217,9 @@ class StreamingExecutor:
         use_last_good: bool = True,
         seed: int = 0,
     ) -> None:
-        if not (math.isfinite(window_us) and window_us >= 1):
-            # The window is whole microseconds: 0.5 would truncate to 0.
-            raise ValueError("window_us must be finite and >= 1")
+        if not (math.isfinite(window_us) and window_us >= 1 and window_us % 1 == 0):
+            # The window is whole microseconds: 2.5 would truncate to 2.
+            raise ValueError("window_us must be a whole number >= 1")
         check_capacity(queue_capacity, "queue_capacity")
         used: set[str] = set()
         self._pipelines = [
@@ -308,7 +308,7 @@ class StreamingExecutor:
                 for field, help_text in (
                     ("calls", "stage invocations (breaker refusals excluded)"),
                     ("successes", "stage calls returning a usable output"),
-                    ("failures", "stage calls raising, timing out or NaN"),
+                    ("failures", "stage calls raising or returning NaN"),
                     ("nan_trips", "failures caused by non-finite outputs"),
                     ("served", "windows whose final prediction this stage gave"),
                     ("busy_us", "virtual service microseconds spent in stage"),
@@ -438,7 +438,7 @@ class StreamingExecutor:
                         lambda: self.controller.apply(window, report.ledger)
                     )
                 if called:
-                    window, _ = out
+                    window = out
                     shed_breaker.record_success(index)
                     m["successes"].inc()
                 else:

@@ -35,7 +35,7 @@ class StageStats:
             "last_good").
         calls: stage invocations (refused calls not included).
         successes: calls returning a usable output.
-        failures: calls raising, timing out or returning NaN.
+        failures: calls raising or returning NaN.
         nan_trips: failures caused specifically by non-finite outputs.
         served: windows whose final prediction this stage provided.
         busy_us: virtual service time spent in this stage.

@@ -311,9 +311,7 @@ class ShedController:
             keep = min(keep, self.target_events_per_window / window_events)
         return max(0.0, min(1.0, keep))
 
-    def apply(
-        self, stream: EventStream, ledger: ShedLedger
-    ) -> tuple[EventStream, ShedTier]:
+    def apply(self, stream: EventStream, ledger: ShedLedger) -> EventStream:
         """Apply the current tier's transforms to one arriving window.
 
         DROP_OLDEST applies the DOWNSAMPLE transforms to the arriving
@@ -321,11 +319,11 @@ class ShedController:
         event is recorded in ``ledger``.
 
         Returns:
-            ``(transformed stream, tier applied)``.
+            The transformed stream.
         """
         tier = self.tier
         if tier is ShedTier.NONE or len(stream) == 0:
-            return stream, ShedTier.NONE
+            return stream
         before = len(stream)
         out = subsample_events(stream, self.keep_fraction(before))
         if tier >= ShedTier.DOWNSAMPLE:
@@ -335,4 +333,4 @@ class ShedController:
                 self.policy.downsample_refractory_us,
             )
         ledger.record(min(tier, ShedTier.DOWNSAMPLE), before, len(out))
-        return out, tier
+        return out

@@ -1,4 +1,4 @@
-"""The compact graph representation and the GraphRepresentation API.
+"""The compact graph representation and the ``build_event_graph`` API.
 
 Pins down the contracts the compact format is allowed to rely on:
 
@@ -12,9 +12,8 @@ Pins down the contracts the compact format is allowed to rely on:
 * the builder: per-event and batch insertion produce the same graph,
   and bounded mode holds flat state while matching the unbounded
   builder on the live window;
-* the API redesign: the representation registry, the consolidated
-  ``radius_graph`` entry point, and the config plumbing through
-  ``GraphBuildConfig`` / ``GNNConfig``;
+* the API: the consolidated ``radius_graph`` entry point and the
+  config plumbing through ``GraphBuildConfig`` / ``GNNConfig``;
 * the hw + Table-I wiring: :class:`GraphMemoryWorkload`,
   :meth:`GNNAccelerator.memory_report`, hierarchy multi-tenancy and
   :func:`attach_graph_memory`.
@@ -31,16 +30,11 @@ from repro.events import EventStream, Resolution
 from repro.gnn import (
     CompactEventGraph,
     CompactGraphBuilder,
-    CompactGraphRepresentation,
-    DenseGraphRepresentation,
     EventGNNClassifier,
     EventGraph,
     GraphBuildConfig,
-    GraphRepresentation,
     RADIUS_GRAPH_METHODS,
-    REPRESENTATIONS,
     dequantize_unit,
-    get_representation,
     quantize_offsets,
     quantize_unit,
     radius_graph,
@@ -348,76 +342,59 @@ def test_builder_rejects_bad_config():
         builder(include_position=True)
 
 
-def test_from_columns_validation():
-    with pytest.raises(ValueError, match="uint16"):
-        CompactEventGraph.from_columns(
-            np.array([70000]),
-            np.array([0]),
-            np.array([0]),
-            np.array([1]),
-            np.zeros((0, 2)),
-            time_scale_us=1000.0,
-            radius=3.0,
-            max_degree=4,
-        )
-    with pytest.raises(ValueError, match="causal"):
-        CompactEventGraph.from_columns(
-            np.array([1, 2]),
-            np.array([1, 2]),
-            np.array([0, 10]),
-            np.array([1, -1]),
-            np.array([[1, 0]]),
-            time_scale_us=1000.0,
-            radius=3.0,
-            max_degree=4,
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["radius", "time_scale_us"])
+def test_graph_rejects_bad_scales(field, bad):
+    scales = {"radius": 3.0, "time_scale_us": 1000.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        CompactEventGraph(
+            [1], [1], [0], 0, np.zeros((1, 2)), np.zeros((1, 4)), [], [],
+            quantization_bits=0, **scales,
         )
 
 
 def test_is_causal_without_and_with_time_order():
-    kw = dict(time_scale_us=1000.0, radius=3.0, max_degree=4)
-    cols = (np.array([1, 2, 3]), np.array([1, 2, 3]))
-    p = np.array([1, -1, 1])
-    edges = np.array([[0, 2], [1, 2]])
-    ordered = CompactEventGraph.from_columns(*cols, np.array([0, 10, 20]), p, edges, **kw)
+    def graph(t_off):
+        nbr = np.zeros((3, 4), dtype=np.uint16)
+        nbr[2, :2] = (2, 1)  # edges 0 -> 2 and 1 -> 2
+        return CompactEventGraph(
+            [1, 2, 3], [1, 2, 3], t_off, 0, np.zeros((3, 2)), nbr, [], [],
+            time_scale_us=1000.0, radius=3.0, quantization_bits=0,
+        )
+
+    ordered = graph([0, 10, 20])
+    assert np.array_equal(ordered.edges, [[0, 2], [1, 2]])
     assert ordered.is_causal()
     # Node 1 is later than node 2: the table's lower-id source is not
     # enough, the edge is checked against the timestamps.
-    unordered = CompactEventGraph.from_columns(*cols, np.array([0, 30, 20]), p, edges, **kw)
+    unordered = graph([0, 30, 20])
     assert not unordered.is_causal()
     assert unordered.to_event_graph().is_causal() is False
 
 
 def test_overflow_deltas_round_trip():
-    # Force a delta >= 0xFFFF through from_columns' packing.
+    # Events 0 and n-1 share pixel (0, 0); the rest sit alone on a
+    # 10-pixel grid, so the one edge's delta n-1 >= 0xFFFF takes the
+    # builder's overflow branch.
     n = 70_000
+    i = np.arange(1, n - 1)
     x = np.zeros(n, dtype=np.int64)
     y = np.zeros(n, dtype=np.int64)
+    x[1:-1] = 10 * (i % 256 + 1)
+    y[1:-1] = 10 * (i // 256)
     t = np.arange(n, dtype=np.int64)
-    p = np.ones(n, dtype=np.int64)
-    edges = np.array([[0, n - 1], [n - 2, n - 1]])
-    g = CompactEventGraph.from_columns(
-        x, y, t, p, edges,
-        time_scale_us=1000.0, radius=3.0, max_degree=4, quantization_bits=8,
-    )
+    b = CompactGraphBuilder(radius=3.0, time_scale_us=1e9, max_degree=4)
+    b.extend(x, y, t, np.ones(n, dtype=np.int64))
+    g = b.graph()
     assert g.ov_src.size == 1
-    assert np.array_equal(g.edges, edges)
+    assert np.array_equal(g.edges, [[0, n - 1]])
     assert (g.nbr[n - 1] == NBR_OVERFLOW).sum() == 1
-    assert g.num_edges == 2
+    assert g.num_edges == 1
 
 
 # ----------------------------------------------------------------------
-# Representation registry + config plumbing
+# Config plumbing
 # ----------------------------------------------------------------------
-def test_representation_registry():
-    assert set(REPRESENTATIONS) == {"dense", "compact"}
-    assert isinstance(get_representation("dense"), DenseGraphRepresentation)
-    assert isinstance(get_representation("compact"), CompactGraphRepresentation)
-    for rep in REPRESENTATIONS.values():
-        assert isinstance(rep, GraphRepresentation)
-    with pytest.raises(ValueError, match="unknown graph representation"):
-        get_representation("sparse")
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="representation"):
         GraphBuildConfig(representation="ragged")
@@ -454,12 +431,9 @@ def test_radius_graph_dispatcher_equivalence():
     reference = radius_graph(points, 3.0, method="naive")
     assert np.array_equal(radius_graph(points, 3.0, method="naive"), reference)
     assert np.array_equal(radius_graph(points, 3.0, method="kdtree"), reference)
-    assert np.array_equal(
-        radius_graph(points, 3.0, method="spatial_hash"), reference
-    )
     # Default method is the fast path.
     assert np.array_equal(radius_graph(points, 3.0), reference)
-    assert set(RADIUS_GRAPH_METHODS) == {"naive", "kdtree", "spatial_hash"}
+    assert set(RADIUS_GRAPH_METHODS) == {"naive", "kdtree"}
 
 
 def test_radius_graph_unknown_method():
@@ -471,13 +445,13 @@ def test_per_method_builders_are_private():
     import repro.gnn
 
     # The algorithms are selected through radius_graph(method=...) only.
-    for name in ("radius_graph_naive", "radius_graph_kdtree", "radius_graph_spatial_hash"):
+    for name in ("radius_graph_naive", "radius_graph_kdtree"):
         assert not hasattr(repro.gnn, name)
     rng = np.random.default_rng(1)
     points = rng.uniform(0, 10, (100, 3))
     assert np.array_equal(
         radius_graph(points, 2.0, method="kdtree"),
-        radius_graph(points, 2.0, method="spatial_hash"),
+        radius_graph(points, 2.0, method="naive"),
     )
 
 
@@ -498,11 +472,13 @@ def test_async_engine_exports_compact_graph():
     )
     for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
         engine.process_event(int(x), int(y), int(t), int(p))
-    compact = engine.built_compact_graph(quantization_bits=0)
-    batch = build_event_graph(stream, config(300, bits=0))
-    assert np.array_equal(compact.edges, batch.edges)
-    assert np.array_equal(compact.positions, batch.positions)
-    assert np.array_equal(compact.features, batch.features)
+    exported = engine.built_graph()
+    compact = build_event_graph(stream, config(300, bits=0))
+    # The engine logs edges in arrival order; the compact graph lists
+    # them in canonical (src, dst) order.
+    assert np.array_equal(np.unique(exported.edges, axis=0), compact.edges)
+    assert np.array_equal(exported.positions, compact.positions)
+    assert np.array_equal(exported.features, compact.features)
 
     bounded = AsyncEventGNN(
         model,
@@ -513,7 +489,7 @@ def test_async_engine_exports_compact_graph():
         max_live_nodes=64,
     )
     with pytest.raises(RuntimeError, match="bounded"):
-        bounded.built_compact_graph()
+        bounded.built_graph()
 
 
 # ----------------------------------------------------------------------

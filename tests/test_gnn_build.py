@@ -22,7 +22,6 @@ from repro.gnn import (
     make_causal,
     RADIUS_GRAPH_METHODS,
     radius_graph,
-    radius_graph_spatial_hash_reference,
 )
 from repro.gnn.models import build_event_graph
 
@@ -106,12 +105,11 @@ class TestRadiusGraphEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("radius", [2.0, 5.0, 12.0])
     def test_three_algorithms_agree(self, seed, radius):
+        # The k-d tree, the default call and the naive oracle.
         pts = random_points(80, seed=seed)
         e_naive = radius_graph(pts, radius, method="naive")
-        e_tree = radius_graph(pts, radius, method="kdtree")
-        e_hash = radius_graph(pts, radius, method="spatial_hash")
-        np.testing.assert_array_equal(e_naive, e_tree)
-        np.testing.assert_array_equal(e_naive, e_hash)
+        np.testing.assert_array_equal(e_naive, radius_graph(pts, radius, method="kdtree"))
+        np.testing.assert_array_equal(e_naive, radius_graph(pts, radius))
 
     def test_empty_and_single(self):
         for method in RADIUS_GRAPH_METHODS:
@@ -127,49 +125,30 @@ class TestRadiusGraphEquivalence:
     def test_validation(self):
         pts = random_points(5)
         for method in RADIUS_GRAPH_METHODS:
-            with pytest.raises(ValueError):
-                radius_graph(pts, 0.0, method)
+            for radius in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="radius"):
+                    radius_graph(pts, radius, method)
             with pytest.raises(ValueError):
                 radius_graph(np.zeros((4, 2)), 1.0, method)
 
     @given(st.integers(2, 40), st.integers(0, 20), st.floats(0.5, 20.0))
     @settings(max_examples=25, deadline=None)
     def test_hash_equals_naive_property(self, n, seed, radius):
+        # The k-d tree against the naive oracle.
         pts = random_points(n, seed=seed)
         np.testing.assert_array_equal(
-            radius_graph(pts, radius, method="naive"), radius_graph(pts, radius, method="spatial_hash")
+            radius_graph(pts, radius, method="naive"), radius_graph(pts, radius, method="kdtree")
         )
 
-    def test_argsort_overflow_fallback_matches_reference(self):
-        """Force the int64-overflow argsort fallback of the hash builder.
-
-        A dense cluster plus one astronomically distant outlier keeps
-        the packed *cell* keys inside int64 (so the reference fallback
-        is not taken) while ``(keys.max() + 1) * n`` overflows the
-        index-packing fast path — exactly the branch whose argsort must
-        be stable: the clustered points share cells, so their keys tie,
-        and an unstable sort would feed the bucketing a different point
-        order than the fast path.
-        """
+    def test_cluster_with_distant_outlier(self):
+        """A dense cluster plus one outlier six orders of magnitude away."""
         radius = 2.0
         rng = np.random.default_rng(42)
-        pts = rng.uniform(0.0, 4.0, (64, 3))  # many points per cell: tied keys
-        pts[-1] = (2e6, 2e6, 2e6)  # outlier blows up the key range
+        pts = rng.uniform(0.0, 4.0, (64, 3))
+        pts[-1] = (2e6, 2e6, 2e6)
 
-        # Replicate the implementation's branch conditions to prove the
-        # test actually exercises the argsort fallback.
-        cells = np.floor(pts / radius).astype(np.int64)
-        cells = cells - cells.min(axis=0) + 1
-        span = cells.max(axis=0) + 2
-        assert float(span[0]) * float(span[1]) * float(span[2]) < 2**62
-        keys = (cells[:, 0] * span[1] + cells[:, 1]) * span[2] + cells[:, 2]
-        assert float(keys.max() + 1) * float(len(pts)) >= 2**62
-
-        edges = radius_graph(pts, radius, method="spatial_hash")
+        edges = radius_graph(pts, radius, method="kdtree")
         assert edges.shape[0] > 0  # the cluster forms a real graph
-        np.testing.assert_array_equal(
-            edges, radius_graph_spatial_hash_reference(pts, radius)
-        )
         np.testing.assert_array_equal(edges, radius_graph(pts, radius, method="naive"))
 
 

@@ -295,11 +295,13 @@ class TestDeterminismLint:
         assert lint.lint_paths([src]) == []
 
     def test_fixed_sites_are_stable(self):
-        # The two bug sites this lint grew from must stay stable.
+        # The channel-pruning bug site this lint grew from must stay
+        # stable, and so must limit_in_degree's nearest-first order, whose
+        # ties decide which sources an in-degree cap keeps.
         from pathlib import Path
 
         root = Path(__file__).resolve().parent.parent / "src" / "repro"
         build = (root / "gnn" / "build.py").read_text()
         pruning = (root / "cnn" / "pruning.py").read_text()
-        assert 'np.argsort(keys, kind="stable")' in build
+        assert 'np.argsort(dist2, kind="stable")' in build
         assert 'np.argsort(norms, kind="stable")' in pruning

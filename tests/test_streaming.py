@@ -203,8 +203,12 @@ class TestShedTransforms:
             )
             controller.tier = tier
             ledger = ShedLedger()
-            out, applied = controller.apply(s, ledger)
-            assert applied is tier
+            out = controller.apply(s, ledger)
+            # DROP_OLDEST transforms the arriving window as DOWNSAMPLE.
+            recorded = min(tier, ShedTier.DOWNSAMPLE).name
+            assert ledger.windows_touched == {
+                t.name: int(t.name == recorded) for t in ShedTier if t is not ShedTier.NONE
+            }
             assert out.validate() == []
             assert np.all(np.diff(out.t) >= 0)
             assert ledger.total_events_shed == len(s) - len(out)

@@ -290,7 +290,9 @@ class TestStreamingExecutor:
         assert report.max_queue_depth == 4
         assert report.accounting_errors() == []
 
-    @pytest.mark.parametrize("window_us", [float("inf"), float("nan"), -1, 0.5])
+    @pytest.mark.parametrize(
+        "window_us", [float("inf"), float("nan"), -1, 0.5, 2.5, np.float64(1000.25)]
+    )
     def test_rejects_non_finite_window(self, window_us):
         with pytest.raises(ValueError, match="window_us"):
             StreamingExecutor(count_mod, window_us=window_us)
