@@ -21,7 +21,6 @@ from . import (
     hw,
     nn,
     observability,
-    parallel,
     reliability,
     sensors,
     snn,
@@ -43,6 +42,5 @@ __all__ = [
     "reliability",
     "streaming",
     "observability",
-    "parallel",
     "__version__",
 ]

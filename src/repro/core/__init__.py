@@ -5,7 +5,6 @@ from .comparison import (
     agreement_with_paper,
     assemble_comparison,
     attach_row,
-    measure_paradigm,
     render_table,
     run_comparison,
     to_markdown,
@@ -69,7 +68,6 @@ __all__ = [
     "default_configs",
     "table1_configs",
     "ComparisonResult",
-    "measure_paradigm",
     "assemble_comparison",
     "run_comparison",
     "attach_row",

@@ -26,7 +26,6 @@ from .ratings import Rating, rate_robustness, rate_values
 
 __all__ = [
     "ComparisonResult",
-    "measure_paradigm",
     "assemble_comparison",
     "run_comparison",
     "attach_row",
@@ -65,27 +64,6 @@ class ComparisonResult:
         return self.ratings[axis_key][paradigm]
 
 
-def measure_paradigm(
-    pipeline: ParadigmPipeline,
-    train: EventDataset,
-    test: EventDataset,
-    temporal_labels: tuple[int, ...] = (),
-) -> PipelineMetrics:
-    """Fit one pipeline and measure its Table-I column.
-
-    The unit of work of one comparison grid cell — the serial loop of
-    :func:`run_comparison` and the sharded executor
-    (:mod:`repro.parallel`) both run exactly this.
-
-    Args:
-        pipeline: an unfitted paradigm pipeline.
-        train, test: a shared dataset split.
-        temporal_labels: labels distinguishable only through event timing.
-    """
-    pipeline.fit(train)
-    return pipeline.measure(test, temporal_labels)
-
-
 def assemble_comparison(metrics: dict[str, PipelineMetrics]) -> ComparisonResult:
     """Rate measured per-paradigm metrics into a comparison result.
 
@@ -112,16 +90,14 @@ def run_comparison(
 ) -> ComparisonResult:
     """Train and measure all three pipelines serially, then rate every axis.
 
-    The plain in-process loop; ``repro.parallel.run_sweep`` with
-    ``SweepSpec(kind="comparison")`` adds sharded execution and
-    representation caching and must produce byte-identical results.
+    One in-process loop: each pipeline is fitted and then measured,
+    in :data:`PARADIGMS` order.
 
     Args:
         train, test: a shared dataset split.
         temporal_labels: labels distinguishable only through event timing.
-        pipelines: override the default pipeline instances (keys must be
-            'SNN', 'CNN', 'GNN'; values may be pipeline instances or
-            the config dataclasses of :mod:`repro.core.presets`).
+        pipelines: override the default unfitted pipeline instances
+            (keys must be 'SNN', 'CNN', 'GNN').
 
     Returns:
         The filled comparison result.
@@ -137,12 +113,8 @@ def run_comparison(
 
     metrics: dict[str, PipelineMetrics] = {}
     for name in PARADIGMS:
-        pipe = pipelines[name]
-        if not hasattr(pipe, "fit"):  # a config dataclass, not an instance
-            from .presets import make_pipeline
-
-            pipe = make_pipeline(pipe)
-        metrics[name] = measure_paradigm(pipe, train, test, temporal_labels)
+        pipelines[name].fit(train)
+        metrics[name] = pipelines[name].measure(test, temporal_labels)
 
     return assemble_comparison(metrics)
 

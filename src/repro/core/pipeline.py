@@ -92,10 +92,9 @@ class ParadigmPipeline(abc.ABC):
     def from_config(cls, config) -> "ParadigmPipeline":
         """Construct a pipeline from its frozen config dataclass.
 
-        The config (see :mod:`repro.core.presets`) is the picklable,
-        content-hashable description of a pipeline — the currency of
-        the sharded executor.  Keyword construction keeps working
-        unchanged; this is the structured alternative.
+        The config (see :mod:`repro.core.presets`) is the frozen,
+        comparable description of a pipeline.  Keyword construction
+        keeps working unchanged; this is the structured alternative.
         """
         return cls(**config.kwargs())
 

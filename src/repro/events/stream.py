@@ -185,8 +185,8 @@ class EventStream:
         return self._events.size
 
     def __getstate__(self):
-        # The SoA cache is derived data; keep pickles (parallel shard
-        # shipping, on-disk caches) at the raw-array footprint.
+        # The SoA cache is derived data; keep pickles at the raw-array
+        # footprint.
         return (self._events, self._resolution)
 
     def __setstate__(self, state) -> None:

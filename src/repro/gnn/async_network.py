@@ -540,6 +540,10 @@ class AsyncEventGNN:
     def built_graph(self):
         """The graph accumulated so far, as an :class:`EventGraph`.
 
+        Edges come in the canonical ``(src, dst)`` order of every other
+        builder, not in arrival order, so aggregations over the export
+        run in the same float order as over the batch graph.
+
         Unbounded mode only: bounded mode recycles node rows and keeps
         no edge log, so there is no complete graph to return.
         """
@@ -559,6 +563,6 @@ class AsyncEventGNN:
         features = (
             w.x0[:n].copy() if n else np.zeros((0, self._feature_width))
         )
-        return EventGraph(
-            positions, features, self._inserter.edges(), self._inserter.time_scale_us
-        )
+        edges = self._inserter.edges()
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        return EventGraph(positions, features, edges, self._inserter.time_scale_us)

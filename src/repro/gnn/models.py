@@ -282,10 +282,9 @@ def fit_gnn(
 
     Graphs are pre-built once (construction is deterministic) and
     shuffled between epochs; callers holding already-built graphs
-    pass them via ``graphs``, aligned with ``dataset`` order.  ``epochs=0`` performs no optimisation and just evaluates
-    the (freshly initialised or externally restored) model —
-    checkpoint resume relies on this to rebuild the architecture
-    without retraining.
+    pass them via ``graphs``, aligned with ``dataset`` order.
+    ``epochs=0`` performs no optimisation and just evaluates the
+    model as given.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")

@@ -9,11 +9,11 @@ infrastructure so that measurement can run unattended:
   (uniform and bursty drops, AER bit flips) and the clock (jitter,
   out-of-order delivery);
 * :mod:`~repro.reliability.runner` — a hardened wrapper around the
-  paradigm pipelines with per-recording validation + quarantine,
-  skip-and-record stage failures and model checkpointing;
-* :mod:`~repro.reliability.sweep` — the robustness sweep producing
-  accuracy-degradation curves and the retained-accuracy scores that
-  regenerate the Table-I robustness cell;
+  paradigm pipelines with per-recording validation + quarantine and
+  skip-and-record stage failures;
+* :mod:`~repro.reliability.sweep` — the in-process robustness sweep
+  producing accuracy-degradation curves and the retained-accuracy
+  scores that regenerate the Table-I robustness cell;
 * :mod:`~repro.reliability.incremental` — the session-fault sweep:
   live per-event serving state is corrupted mid-stream (state
   corruption, NaN injection, clock skew) and the session's own
@@ -63,6 +63,7 @@ from .sweep import (
     rate_sweep,
     robustness_scores,
     run_paradigm_curve,
+    run_robustness_sweep,
 )
 
 __all__ = [
@@ -93,6 +94,7 @@ __all__ = [
     "SweepPoint",
     "RobustnessSweepResult",
     "run_paradigm_curve",
+    "run_robustness_sweep",
     "robustness_scores",
     "rate_sweep",
     "SessionFaultPoint",

@@ -1,10 +1,10 @@
-"""Degradation-aware pipeline runner: validate, quarantine, resume.
+"""Degradation-aware pipeline runner: validate, quarantine, record.
 
 The paradigm pipelines (:mod:`repro.core.pipeline`) assume clean inputs
 and abort on the first malformed recording — acceptable in a unit test,
 fatal in a sweep that trains three paradigms across many fault
 severities.  :class:`HardenedRunner` wraps ``fit`` / ``predict`` /
-``measure`` with the reliability policies a long-running sweep needs:
+``measure`` with the reliability policies a sweep needs:
 
 * **per-recording validation + quarantine** — every recording is checked
   against the :data:`~repro.events.stream.EVENT_DTYPE` invariants before
@@ -15,10 +15,7 @@ severities.  :class:`HardenedRunner` wraps ``fit`` / ``predict`` /
   :class:`RecordingReport` inside a structured :class:`RunReport`, so a
   sweep always completes with an account of what happened.  There is no
   retry or wall-clock timeout: the pipelines and fault models are seeded
-  and deterministic, so a retry repeats the same failure;
-* **checkpointing** — fitted model state is persisted through
-  :mod:`repro.nn.serialization`, so an interrupted sweep resumes without
-  retraining.
+  and deterministic, so a retry repeats the same failure.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -34,8 +30,6 @@ import numpy as np
 from ..core.pipeline import NotFittedError, ParadigmPipeline
 from ..datasets.base import EventDataset, EventSample
 from ..events.stream import EventStream
-from ..nn.layers import Module
-from ..nn.serialization import load_state, save_state
 from ..observability import Instrumentation
 from .faults import FaultModel, apply_fault
 
@@ -104,15 +98,12 @@ class RunReport:
         fault: repr of the injected fault configuration ("" when clean).
         seed: fault-injection seed of this pass.
         records: one report per recording, in dataset order.
-        resumed_from_checkpoint: whether fit was restored rather than
-            trained in this process.
     """
 
     pipeline: str
     fault: str = ""
     seed: int = 0
     records: list[RecordingReport] = field(default_factory=list)
-    resumed_from_checkpoint: bool = False
 
     def outcome_counts(self) -> dict[str, int]:
         """Outcome value → number of recordings."""
@@ -148,7 +139,6 @@ class RunReport:
             "pipeline": self.pipeline,
             "fault": self.fault,
             "seed": self.seed,
-            "resumed_from_checkpoint": self.resumed_from_checkpoint,
             "outcome_counts": self.outcome_counts(),
             "accuracy": self.accuracy(),
             "records": [r.to_dict() for r in self.records],
@@ -207,40 +197,27 @@ class HardenedRunner:
 
     Args:
         pipeline: the pipeline to protect.
-        checkpoint_path: where to persist fitted model state.  When the
-            file exists, :meth:`fit` restores it (rebuilding the
-            architecture with a zero-epoch fit) instead of retraining,
-            which is what lets an interrupted sweep resume.
         instrumentation: optional observability sink, attached to the
             pipeline (see :meth:`ParadigmPipeline.instrument`) so every
             stage call is counted, timed and traced there.  Every
             classified recording is counted into
             ``runner_records_total{outcome=...}``.
-        clock: monotonic time source for ``elapsed_s`` measurements
-            (default ``time.monotonic``).  The sharded executor injects a
-            deterministic virtual clock so reports are byte-identical
-            across backends.
     """
 
     def __init__(
         self,
         pipeline: ParadigmPipeline,
         *,
-        checkpoint_path: str | Path | None = None,
         instrumentation: Instrumentation | None = None,
-        clock: Callable[[], float] | None = None,
     ) -> None:
         if instrumentation is not None:
             pipeline.instrument(instrumentation)
         self.pipeline = pipeline
-        self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.resumed_from_checkpoint = False
         self.instrumentation = instrumentation
-        self.clock = clock if clock is not None else time.monotonic
 
     def _run_stage(self, name: str, fn: Callable[[], Any]) -> StageResult:
         """Run one stage call, recording any failure but NotFittedError."""
-        start = self.clock()
+        start = time.monotonic()
         try:
             value = fn()
         except NotFittedError:
@@ -251,63 +228,22 @@ class HardenedRunner:
                 ok=False,
                 error_type=type(exc).__name__,
                 error_message=str(exc),
-                elapsed_s=self.clock() - start,
+                elapsed_s=time.monotonic() - start,
             )
         return StageResult(
-            name=name, ok=True, value=value, elapsed_s=self.clock() - start
+            name=name, ok=True, value=value, elapsed_s=time.monotonic() - start
         )
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def save_checkpoint(self) -> bool:
-        """Persist the fitted model (no-op without a path or a model)."""
-        if self.checkpoint_path is None:
-            return False
-        model = getattr(self.pipeline, "model", None)
-        if not isinstance(model, Module):
-            return False
-        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        save_state(model, self.checkpoint_path)
-        return True
-
-    def _try_resume(self, train: EventDataset) -> bool:
-        """Restore fitted state from the checkpoint, if compatible.
-
-        The pipelines build their architecture inside ``fit`` (it depends
-        on the dataset), so resume runs a zero-epoch fit to construct the
-        untrained model, then loads the checkpointed parameters into it.
-        The zero-epoch fit calls ``_fit`` directly, so a resume records
-        no stage call on the instrumentation.  Any incompatibility (architecture drift, corrupt file) falls back
-        to a full fit.
-        """
-        if self.checkpoint_path is None or not self.checkpoint_path.exists():
-            return False
-        epochs = getattr(self.pipeline, "epochs", None)
-        if epochs is None:
-            return False
-        try:
-            self.pipeline.epochs = 0
-            self.pipeline._fit(train)
-            load_state(self.pipeline.model, self.checkpoint_path)
-            return True
-        except Exception:
-            self.pipeline.model = None
-            return False
-        finally:
-            self.pipeline.epochs = epochs
 
     # ------------------------------------------------------------------
     # Hardened pipeline stages
     # ------------------------------------------------------------------
-    def fit(self, train: EventDataset, resume: bool = True) -> StageResult:
-        """Train (or restore) the pipeline, then checkpoint it.
+    def fit(self, train: EventDataset) -> StageResult:
+        """Train the pipeline on the recordings that pass validation.
 
         Args:
             train: training recordings.  Recordings that fail validation
                 are excluded from training (and training proceeds on the
                 survivors) rather than poisoning the whole fit.
-            resume: restore from :attr:`checkpoint_path` when possible.
         """
         clean_indices = [
             i
@@ -324,14 +260,7 @@ class HardenedRunner:
         if len(clean_indices) < len(train):
             train = train.subset(clean_indices)
 
-        if resume and self._try_resume(train):
-            self.resumed_from_checkpoint = True
-            return StageResult(name="fit", ok=True)
-        self.resumed_from_checkpoint = False
-        result = self._run_stage("fit", lambda: self.pipeline.fit(train))
-        if result.ok:
-            self.save_checkpoint()
-        return result
+        return self._run_stage("fit", lambda: self.pipeline.fit(train))
 
     def predict_sample(
         self,
@@ -369,7 +298,7 @@ class HardenedRunner:
         fault: FaultModel | None = None,
         seed: int = 0,
     ) -> RecordingReport:
-        start = self.clock()
+        start = time.monotonic()
         problems = validate_sample(sample, expected_resolution)
         if problems:
             return RecordingReport(
@@ -377,7 +306,7 @@ class HardenedRunner:
                 label=sample.label,
                 outcome=RecordingOutcome.QUARANTINED,
                 problems=problems,
-                elapsed_s=self.clock() - start,
+                elapsed_s=time.monotonic() - start,
             )
         stream: EventStream = sample.stream
         if fault is not None:
@@ -390,7 +319,7 @@ class HardenedRunner:
                     outcome=RecordingOutcome.FAILED,
                     error_type=type(exc).__name__,
                     error_message=f"fault injection failed: {exc}",
-                    elapsed_s=self.clock() - start,
+                    elapsed_s=time.monotonic() - start,
                 )
             problems = validate_sample(
                 EventSample(stream, sample.label), expected_resolution
@@ -401,7 +330,7 @@ class HardenedRunner:
                     label=sample.label,
                     outcome=RecordingOutcome.QUARANTINED,
                     problems=[f"after fault injection: {p}" for p in problems],
-                    elapsed_s=self.clock() - start,
+                    elapsed_s=time.monotonic() - start,
                 )
         stage = self._run_stage("predict", lambda: self.pipeline.predict(stream))
         if stage.ok:
@@ -410,7 +339,7 @@ class HardenedRunner:
                 label=sample.label,
                 outcome=RecordingOutcome.OK,
                 predicted=int(stage.value),
-                elapsed_s=self.clock() - start,
+                elapsed_s=time.monotonic() - start,
             )
         return RecordingReport(
             index=index,
@@ -418,7 +347,7 @@ class HardenedRunner:
             outcome=RecordingOutcome.FAILED,
             error_type=stage.error_type,
             error_message=stage.error_message,
-            elapsed_s=self.clock() - start,
+            elapsed_s=time.monotonic() - start,
         )
 
     def evaluate(
@@ -444,7 +373,6 @@ class HardenedRunner:
             pipeline=self.pipeline.name,
             fault=repr(fault) if fault is not None else "",
             seed=seed,
-            resumed_from_checkpoint=self.resumed_from_checkpoint,
         )
         expected = test.resolution
         for index, sample in enumerate(test):

@@ -16,17 +16,17 @@ Results reduce to a *retained-accuracy* score per paradigm
 :func:`repro.core.comparison.attach_row` folds back into the
 regenerated comparison table.
 
-The sweep runs through
-``repro.parallel.run_sweep(SweepSpec(kind="robustness", ...))``; this
-module holds its per-paradigm curve (:func:`run_paradigm_curve`), the
-result types and the scoring.
+:func:`run_robustness_sweep` runs the sweep in-process: it validates
+the grid, then loops over the paradigms, each fitted once and measured
+at every severity by :func:`run_paradigm_curve`.  Every point draws its
+own ``SeedSequence([seed, paradigm index, level])`` seed, so no point
+depends on the order the others ran in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "SweepPoint",
     "RobustnessSweepResult",
     "run_paradigm_curve",
+    "run_robustness_sweep",
     "robustness_scores",
 ]
 
@@ -182,15 +183,6 @@ def rate_sweep(result: RobustnessSweepResult) -> dict[str, Rating]:
     return rate_robustness(robustness_scores(result))
 
 
-def _point_key(paradigm: str, severity: float) -> str:
-    return f"{paradigm}@{severity:.6f}"
-
-
-def _model_path(checkpoint_dir: Path, name: str) -> Path:
-    """Where :func:`run_paradigm_curve` checkpoints paradigm ``name``."""
-    return checkpoint_dir / f"{name.lower()}_model.npz"
-
-
 def run_paradigm_curve(
     name: str,
     pipeline: ParadigmPipeline,
@@ -198,20 +190,15 @@ def run_paradigm_curve(
     test: EventDataset,
     severities: Sequence[float],
     seed: int = 0,
-    fault_profile=default_fault_profile,
-    checkpoint_dir: str | Path | None = None,
     instrumentation=None,
-    done: dict[str, dict[str, Any]] | None = None,
-    on_point: Callable[[str, SweepPoint], None] | None = None,
-    clock: Callable[[], float] | None = None,
 ) -> list[SweepPoint]:
     """Measure one paradigm's accuracy-degradation curve.
 
-    The unit of work of one robustness shard: train the pipeline once
-    through the hardened runner, then evaluate every severity with its
+    Train the pipeline once through the hardened runner, then evaluate
+    every severity of :func:`default_fault_profile` with its
     deterministic per-point seed (derived from ``seed``, the paradigm
-    index and the severity level — independent of execution order, so
-    parallel shards reproduce the serial sweep bit for bit).
+    index and the severity level, so a point does not depend on which
+    points ran before it).
 
     Args:
         name: paradigm name ('SNN' / 'CNN' / 'GNN').
@@ -219,19 +206,7 @@ def run_paradigm_curve(
         train, test: the shared dataset split.
         severities: ascending fault intensities.
         seed: master seed for fault injection.
-        fault_profile: severity → fault-model mapping.
-        checkpoint_dir: when given, the fitted model checkpoints to
-            ``{name}_model.npz`` inside it.
         instrumentation: optional observability sink for the runner.
-        done: previously completed points (``{point_key: point_dict}``)
-            to resume from instead of recomputing.
-        on_point: callback fired as ``on_point(key, point)`` after each
-            *freshly computed* point (used by the sweep coordinator to
-            persist state incrementally).
-        clock: monotonic time source for the runner's ``elapsed_s``
-            measurements (default wall clock); the sharded executor
-            injects a deterministic virtual clock so reports are
-            byte-identical across backends.
 
     Returns:
         One :class:`SweepPoint` per severity.
@@ -239,16 +214,7 @@ def run_paradigm_curve(
     Raises:
         RuntimeError: when the pipeline fails to fit.
     """
-    checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-    done = done if done is not None else {}
-    runner = HardenedRunner(
-        pipeline,
-        checkpoint_path=(
-            _model_path(checkpoint_dir, name) if checkpoint_dir else None
-        ),
-        instrumentation=instrumentation,
-        clock=clock,
-    )
+    runner = HardenedRunner(pipeline, instrumentation=instrumentation)
     fit_result = runner.fit(train)
     if not fit_result.ok:
         raise RuntimeError(
@@ -257,58 +223,61 @@ def run_paradigm_curve(
         )
     points: list[SweepPoint] = []
     for level, severity in enumerate(severities):
-        key = _point_key(name, severity)
-        cached = done.get(key)
-        if cached is not None:
-            points.append(_point_from_dict(cached))
-            continue
-        fault = fault_profile(severity)
         # One deterministic seed per (paradigm, severity) point.
         point_seed = int(
             np.random.SeedSequence(
                 [seed, PARADIGMS.index(name), level]
             ).generate_state(1)[0]
         )
-        report = runner.evaluate(test, fault=fault, seed=point_seed)
-        point = SweepPoint(
-            severity=severity, accuracy=report.accuracy(), report=report
+        report = runner.evaluate(
+            test, fault=default_fault_profile(severity), seed=point_seed
         )
-        points.append(point)
-        if on_point is not None:
-            on_point(key, point)
+        points.append(
+            SweepPoint(severity=severity, accuracy=report.accuracy(), report=report)
+        )
     return points
 
 
-def _point_from_dict(data: dict[str, Any]) -> SweepPoint:
-    """Rehydrate a persisted sweep point (accuracy + outcome summary).
+def run_robustness_sweep(
+    train: EventDataset,
+    test: EventDataset,
+    pipelines: Mapping[str, ParadigmPipeline],
+    severities: Sequence[float],
+    seed: int = 0,
+    instrumentation=None,
+) -> RobustnessSweepResult:
+    """Run every paradigm's degradation curve, in :data:`PARADIGMS` order.
 
-    Per-recording reports are restored structurally; this is enough for
-    scoring and resume — the full original objects live in the JSON.
+    Args:
+        train, test: the shared dataset split.
+        pipelines: paradigm name → unfitted pipeline; must cover
+            exactly :data:`PARADIGMS`.
+        severities: non-empty, ascending fault intensities.
+        seed: master seed for fault injection.
+        instrumentation: optional observability sink shared by every
+            paradigm's runner.
+
+    Raises:
+        ValueError: on an empty or unordered grid, or pipelines that do
+            not cover exactly :data:`PARADIGMS`; before anything is fit.
+        RuntimeError: when a pipeline fails to fit.
     """
-    from .runner import RecordingOutcome, RecordingReport
-
-    report_data = data["report"]
-    report = RunReport(
-        pipeline=report_data["pipeline"],
-        fault=report_data["fault"],
-        seed=report_data["seed"],
-        resumed_from_checkpoint=report_data.get("resumed_from_checkpoint", False),
-        records=[
-            RecordingReport(
-                index=r["index"],
-                label=r["label"],
-                outcome=RecordingOutcome(r["outcome"]),
-                predicted=r["predicted"],
-                problems=list(r["problems"]),
-                error_type=r["error_type"],
-                error_message=r["error_message"],
-                elapsed_s=r["elapsed_s"],
-            )
-            for r in report_data["records"]
-        ],
-    )
-    return SweepPoint(
-        severity=float(data["severity"]),
-        accuracy=float(data["accuracy"]),
-        report=report,
-    )
+    severities = tuple(float(s) for s in severities)
+    if not severities:
+        raise ValueError("severities must not be empty")
+    if list(severities) != sorted(severities):
+        raise ValueError("severities must be ascending")
+    if set(pipelines) != set(PARADIGMS):
+        raise ValueError(f"pipelines must cover exactly {PARADIGMS}")
+    result = RobustnessSweepResult(severities=severities, seed=seed)
+    for name in PARADIGMS:
+        result.curves[name] = run_paradigm_curve(
+            name,
+            pipelines[name],
+            train,
+            test,
+            severities,
+            seed=seed,
+            instrumentation=instrumentation,
+        )
+    return result

@@ -58,6 +58,7 @@ from .sweep import (
     overload_scores,
     run_overload_demo,
     run_paradigm_stream,
+    run_streaming_sweep,
 )
 
 __all__ = [
@@ -86,6 +87,7 @@ __all__ = [
     "StreamingPoint",
     "StreamingSweepResult",
     "run_paradigm_stream",
+    "run_streaming_sweep",
     "overload_scores",
     "degradation_violations",
     "make_bursty_stream",

@@ -15,10 +15,10 @@ service model is calibrated so each paradigm sustains the stream's mean
 rate with that much headroom.  Curves reduce to one delivered-fraction
 score per paradigm (:func:`overload_scores`) which
 :func:`repro.core.comparison.attach_row` folds into the regenerated
-Table I next to the measured robustness row.  The sweep runs through
-``repro.parallel.run_sweep(SweepSpec(kind="streaming", ...))``; this
-module holds its per-paradigm curve (:func:`run_paradigm_stream`), the
-result types and the scoring.
+Table I next to the measured robustness row.
+:func:`run_streaming_sweep` runs the sweep in-process, one paradigm
+after another through :func:`run_paradigm_stream`; every run is in
+virtual time, so the curves are a pure function of the arguments.
 
 The module also carries the deterministic burst demo
 (:func:`run_overload_demo`) used by the tests, the benchmark and the CI
@@ -49,6 +49,7 @@ __all__ = [
     "StreamingSweepResult",
     "calibrate_service",
     "run_paradigm_stream",
+    "run_streaming_sweep",
     "overload_scores",
     "degradation_violations",
     "make_bursty_stream",
@@ -225,65 +226,79 @@ class _CountClassifier:
         return int(len(stream) % 4)
 
 
-def _default_predictors() -> dict[str, Callable[[EventStream], int]]:
-    return {name: _CountClassifier() for name in PARADIGMS}
-
-
 def run_paradigm_stream(
     name: str,
     predictor: Any,
     stream: EventStream,
     window_us: int,
     load_factors: Sequence[float],
-    fallbacks: Sequence[Any] = (),
-    service: ServiceModel | None = None,
-    shed_policy: ShedPolicy | None = None,
-    breaker_policy: BreakerPolicy | None = None,
-    queue_capacity: int = 16,
     seed: int = 0,
 ) -> list[StreamingPoint]:
     """Measure one paradigm's graceful-degradation curve.
 
-    The unit of work of one streaming shard: the predictor streams the
-    same workload once per load factor through a fresh executor (fresh
-    queue, breakers and shedding controller — points are independent).
-    Virtual-time execution makes the curve a pure function of the
-    arguments, so parallel shards reproduce the serial sweep bit for
-    bit.
+    The predictor streams the same workload once per load factor
+    through a fresh executor (fresh queue, breakers and shedding
+    controller — points are independent) with the executor's default
+    policies and a service model calibrated by :func:`calibrate_service`
+    with the paradigm's :data:`CAPACITY_HEADROOM`.  Virtual-time
+    execution makes the curve a pure function of the arguments.
 
     Args:
-        name: paradigm name (capacity calibration key when ``service``
-            is None).
+        name: paradigm name (the capacity calibration key).
         predictor: fitted pipeline or predictor callable.
         stream: the workload (split into ``window_us`` windows per run).
         window_us: window length.
         load_factors: ascending offered-load multipliers.
-        fallbacks: fallback stage chain of this paradigm.
-        service: virtual-time cost model; defaults to
-            :func:`calibrate_service` with :data:`CAPACITY_HEADROOM`.
-        shed_policy / breaker_policy / queue_capacity: executor knobs
-            shared by every run.
         seed: seeds the breaker probe generators.
 
     Returns:
         One :class:`StreamingPoint` per load factor.
     """
-    if service is None:
-        service = calibrate_service(stream, window_us, CAPACITY_HEADROOM[name])
+    service = calibrate_service(stream, window_us, CAPACITY_HEADROOM[name])
     points: list[StreamingPoint] = []
     for load in load_factors:
         executor = StreamingExecutor(
-            predictor,
-            window_us=window_us,
-            fallbacks=tuple(fallbacks),
-            service=service,
-            queue_capacity=queue_capacity,
-            shed_policy=shed_policy,
-            breaker_policy=breaker_policy,
-            seed=seed,
+            predictor, window_us=window_us, service=service, seed=seed
         )
         points.append(StreamingPoint(load, executor.run(stream, load_factor=load)))
     return points
+
+
+def run_streaming_sweep(
+    stream: EventStream,
+    window_us: int,
+    load_factors: Sequence[float],
+    seed: int = 0,
+) -> StreamingSweepResult:
+    """Run every paradigm's degradation curve, in :data:`PARADIGMS` order.
+
+    Each paradigm serves the stream with the deterministic count
+    classifier; paradigms differ by their calibrated capacity
+    (:data:`CAPACITY_HEADROOM`), which is what the overload row rates.
+
+    Args:
+        stream: the workload.
+        window_us: window length shared by every run.
+        load_factors: non-empty, ascending offered-load multipliers.
+        seed: seeds the breaker probe generators.
+
+    Raises:
+        ValueError: on an empty or unordered grid, before any run.
+    """
+    load_factors = tuple(float(f) for f in load_factors)
+    if not load_factors:
+        raise ValueError("load_factors must not be empty")
+    if list(load_factors) != sorted(load_factors):
+        raise ValueError("load_factors must be ascending")
+    window_us = int(window_us)
+    result = StreamingSweepResult(
+        load_factors=load_factors, window_us=window_us, seed=seed
+    )
+    for name in PARADIGMS:
+        result.curves[name] = run_paradigm_stream(
+            name, _CountClassifier(), stream, window_us, load_factors, seed=seed
+        )
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -474,9 +474,7 @@ def test_async_engine_exports_compact_graph():
         engine.process_event(int(x), int(y), int(t), int(p))
     exported = engine.built_graph()
     compact = build_event_graph(stream, config(300, bits=0))
-    # The engine logs edges in arrival order; the compact graph lists
-    # them in canonical (src, dst) order.
-    assert np.array_equal(np.unique(exported.edges, axis=0), compact.edges)
+    assert np.array_equal(exported.edges, compact.edges)
     assert np.array_equal(exported.positions, compact.positions)
     assert np.array_equal(exported.features, compact.features)
 

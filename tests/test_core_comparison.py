@@ -17,11 +17,15 @@ from repro.analysis import (
     zero_fraction,
 )
 from repro.core import (
+    CNNConfig,
     CNNPipeline,
+    GNNConfig,
     GNNPipeline,
     Rating,
+    SNNConfig,
     SNNPipeline,
     agreement_with_paper,
+    make_pipeline,
     render_table,
     run_comparison,
 )
@@ -325,3 +329,31 @@ class TestPresets:
         assert train.num_classes == 4
         assert len(train) + len(test) == 32
         assert train.resolution == Resolution(24, 24)
+
+
+class TestConfigConstructors:
+    @pytest.mark.parametrize(
+        "config,cls",
+        [
+            (SNNConfig(num_steps=6, hidden=8, epochs=2), SNNPipeline),
+            (CNNConfig(base_width=4, epochs=2), CNNPipeline),
+            (GNNConfig(max_events=60, hidden=6, epochs=2), GNNPipeline),
+        ],
+    )
+    def test_from_config_matches_kwargs(self, config, cls):
+        built = cls.from_config(config)
+        direct = cls(**config.kwargs())
+        assert type(built) is cls
+        for key, value in config.kwargs().items():
+            assert getattr(direct, key) == getattr(built, key)
+
+    def test_make_pipeline_dispatch(self):
+        assert isinstance(make_pipeline(SNNConfig()), SNNPipeline)
+        assert isinstance(make_pipeline(CNNConfig()), CNNPipeline)
+        assert isinstance(make_pipeline(GNNConfig()), GNNPipeline)
+        with pytest.raises(ValueError, match="not a pipeline config"):
+            make_pipeline(object())
+
+    def test_existing_kwargs_keep_working(self):
+        legacy = SNNPipeline(num_steps=6, hidden=8, epochs=2, seed=4)
+        assert legacy.num_steps == 6 and legacy.seed == 4

@@ -133,7 +133,7 @@ class TestRadiusGraphEquivalence:
 
     @given(st.integers(2, 40), st.integers(0, 20), st.floats(0.5, 20.0))
     @settings(max_examples=25, deadline=None)
-    def test_hash_equals_naive_property(self, n, seed, radius):
+    def test_kdtree_equals_naive_property(self, n, seed, radius):
         # The k-d tree against the naive oracle.
         pts = random_points(n, seed=seed)
         np.testing.assert_array_equal(

@@ -47,12 +47,12 @@ def awkward_points(n, seed, scale=10.0):
     return pts
 
 
-class TestRadiusGraphFourWay:
+class TestRadiusGraphKDTreeVsNaive:
     """kdtree == the naive oracle, everywhere."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("radius", [0.5, 3.0, 8.0])
-    def test_all_four_agree(self, seed, radius):
+    def test_kdtree_equals_naive(self, seed, radius):
         pts = awkward_points(50, seed)
         e_naive = radius_graph(pts, radius, method="naive")
         np.testing.assert_array_equal(e_naive, radius_graph(pts, radius, method="kdtree"))
@@ -78,7 +78,7 @@ class TestRadiusGraphFourWay:
         st.floats(0.5, 12.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_vectorized_hash_equals_naive_property(self, n, seed, radius):
+    def test_kdtree_equals_naive_property(self, n, seed, radius):
         # The k-d tree against the naive oracle.
         pts = awkward_points(n, seed)
         np.testing.assert_array_equal(

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
+from repro.core import GNNPipeline, SNNPipeline
 from repro.datasets import (
     cache_dataset,
     load_cached_dataset,
     make_shapes_dataset,
+    train_test_split,
 )
 from repro.events import Resolution
+from repro.gnn import GraphBuildConfig
 from repro.nn import Tensor, load_state, save_state
 from repro.snn import SpikingConvNet, events_to_spike_tensor
 
@@ -60,6 +63,47 @@ class TestModelCheckpointing:
         fresh = SpikingConvNet(2, 3, (8, 8), channel_widths=(4,), rng=np.random.default_rng(5))
         load_state(fresh, path)
         np.testing.assert_allclose(fresh(x).data, before)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed, epochs: SNNPipeline(
+                num_steps=6, pool=4, hidden=8, epochs=epochs, seed=seed
+            ),
+            lambda seed, epochs: GNNPipeline(
+                config=GraphBuildConfig(
+                    radius=4.0, time_scale_us=3000.0, max_events=100, max_degree=6
+                ),
+                hidden=4,
+                epochs=epochs,
+                seed=seed,
+            ),
+        ],
+        ids=["snn-pipeline", "gnn-pipeline"],
+    )
+    def test_fitted_pipeline_roundtrip(self, make, tmp_path):
+        """A fitted pipeline's model restores into a fresh one exactly."""
+        ds = make_shapes_dataset(
+            num_per_class=6, resolution=Resolution(24, 24), duration_us=40_000, seed=0
+        )
+        train, test = train_test_split(ds, 0.3, np.random.default_rng(0))
+        fitted = make(seed=0, epochs=2)
+        fitted.fit(train)
+        path = tmp_path / "model.npz"
+        save_state(fitted.model, path)
+
+        # A zero-epoch fit builds the architecture from a different init.
+        fresh = make(seed=5, epochs=0)
+        fresh.fit(train)
+        before = [p.data.copy() for p in fresh.model.parameters()]
+        trained = [p.data for p in fitted.model.parameters()]
+        assert any(not np.array_equal(a, b) for a, b in zip(before, trained))
+        load_state(fresh.model, path)
+        for restored, want in zip(fresh.model.parameters(), trained):
+            np.testing.assert_array_equal(restored.data, want)
+        assert [fresh.predict(s.stream) for s in test] == [
+            fitted.predict(s.stream) for s in test
+        ]
 
 
 class TestDatasetCaching:

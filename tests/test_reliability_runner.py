@@ -15,7 +15,6 @@ from repro.core import (
 from repro.datasets import make_shapes_dataset, train_test_split
 from repro.datasets.base import EventDataset, EventSample
 from repro.events import EventStream, Resolution
-from repro.gnn import GraphBuildConfig
 from repro.nn import is_grad_enabled, is_stable_matmul, no_grad, stable_matmul
 from repro.reliability import (
     HardenedRunner,
@@ -219,71 +218,3 @@ class TestRunReport:
             return [{**r.to_dict(), "elapsed_s": None} for r in report.records]
 
         assert strip_timing(a) == strip_timing(b)
-
-
-class TestCheckpointResume:
-    def test_fit_checkpoints_and_resumes(self, shapes_split, tmp_path):
-        train, test = shapes_split
-        path = tmp_path / "snn.npz"
-
-        def make():
-            return SNNPipeline(num_steps=6, pool=4, hidden=8, epochs=2, seed=0)
-
-        first = HardenedRunner(make(), checkpoint_path=path)
-        assert first.fit(train).ok
-        assert path.exists()
-        preds_first = [first.pipeline.predict(s.stream) for s in test]
-
-        second = HardenedRunner(make(), checkpoint_path=path)
-        result = second.fit(train)
-        assert result.ok
-        assert second.resumed_from_checkpoint
-        preds_second = [second.pipeline.predict(s.stream) for s in test]
-        assert preds_first == preds_second
-
-    def test_resume_works_for_gnn(self, shapes_split, tmp_path):
-        train, test = shapes_split
-        path = tmp_path / "gnn.npz"
-        cfg = GraphBuildConfig(
-            radius=4.0, time_scale_us=3000.0, max_events=100, max_degree=6
-        )
-
-        def make():
-            return GNNPipeline(config=cfg, hidden=4, epochs=1, seed=0)
-
-        first = HardenedRunner(make(), checkpoint_path=path)
-        assert first.fit(train).ok
-        second = HardenedRunner(make(), checkpoint_path=path)
-        assert second.fit(train).ok
-        assert second.resumed_from_checkpoint
-        assert [first.pipeline.predict(s.stream) for s in test] == [
-            second.pipeline.predict(s.stream) for s in test
-        ]
-
-    def test_corrupt_checkpoint_falls_back_to_training(self, shapes_split, tmp_path):
-        train, _ = shapes_split
-        path = tmp_path / "snn.npz"
-        path.write_bytes(b"not a checkpoint")
-        runner = HardenedRunner(
-            SNNPipeline(num_steps=6, pool=4, hidden=8, epochs=2, seed=0),
-            checkpoint_path=path,
-        )
-        result = runner.fit(train)
-        assert result.ok
-        assert not runner.resumed_from_checkpoint
-
-    def test_resume_false_retrains(self, shapes_split, tmp_path):
-        train, _ = shapes_split
-        path = tmp_path / "snn.npz"
-        runner = HardenedRunner(
-            SNNPipeline(num_steps=6, pool=4, hidden=8, epochs=2, seed=0),
-            checkpoint_path=path,
-        )
-        runner.fit(train)
-        runner2 = HardenedRunner(
-            SNNPipeline(num_steps=6, pool=4, hidden=8, epochs=2, seed=0),
-            checkpoint_path=path,
-        )
-        result = runner2.fit(train, resume=False)
-        assert result.ok
-        assert not runner2.resumed_from_checkpoint

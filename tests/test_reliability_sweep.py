@@ -27,7 +27,6 @@ from repro.datasets import make_shapes_dataset, train_test_split
 from repro.datasets.base import EventDataset, EventSample
 from repro.events import Resolution
 from repro.gnn import GraphBuildConfig
-from repro.parallel import SweepSpec, run_sweep
 from repro.reliability import (
     OutOfOrderCorruption,
     RobustnessSweepResult,
@@ -35,6 +34,7 @@ from repro.reliability import (
     SweepPoint,
     rate_sweep,
     robustness_scores,
+    run_robustness_sweep,
 )
 
 SEVERITIES = (0.0, 0.5, 1.0)
@@ -74,16 +74,7 @@ def corrupted_split():
 @pytest.fixture(scope="module")
 def sweep(corrupted_split):
     train, test = corrupted_split
-    return run_sweep(
-        SweepSpec(
-            kind="robustness",
-            train=train,
-            test=test,
-            conditions=SEVERITIES,
-            pipelines=fast_pipelines(),
-            seed=0,
-        )
-    ).result
+    return run_robustness_sweep(train, test, fast_pipelines(), SEVERITIES, seed=0)
 
 
 class TestAcceptance:
@@ -106,16 +97,9 @@ class TestAcceptance:
 
     def test_deterministic_across_two_runs(self, sweep, corrupted_split):
         train, test = corrupted_split
-        rerun = run_sweep(
-            SweepSpec(
-                kind="robustness",
-                train=train,
-                test=test,
-                conditions=SEVERITIES,
-                pipelines=fast_pipelines(),
-                seed=0,
-            )
-        ).result
+        rerun = run_robustness_sweep(
+            train, test, fast_pipelines(), SEVERITIES, seed=0
+        )
         for name in sweep.curves:
             assert sweep.accuracies(name) == rerun.accuracies(name)
         assert robustness_scores(sweep) == robustness_scores(rerun)
@@ -127,58 +111,29 @@ class TestAcceptance:
             assert 0.0 <= value <= 1.0
 
 
-class TestSweepResume:
-    def test_checkpoint_dir_resumes_points(self, corrupted_split, tmp_path):
-        train, test = corrupted_split
-
-        def spec():
-            return SweepSpec(
-                kind="robustness",
-                train=train,
-                test=test,
-                conditions=SEVERITIES,
-                pipelines=fast_pipelines(),
-                seed=0,
-                options={"checkpoint_dir": tmp_path},
-            )
-
-        first = run_sweep(spec()).result
-        assert (tmp_path / "seed-0" / "sweep_state.json").exists()
-        assert (tmp_path / "seed-0" / "snn_model.npz").exists()
-        second = run_sweep(spec()).result
-        for name in first.curves:
-            assert first.accuracies(name) == second.accuracies(name)
-
-
 class TestValidation:
+    """Bad input fails with ValueError before any pipeline is fitted."""
+
     def test_rejects_unordered_severities(self, corrupted_split):
         train, test = corrupted_split
+        pipelines = fast_pipelines()
         with pytest.raises(ValueError, match="ascending"):
-            run_sweep(
-                SweepSpec(
-                    kind="robustness", train=train, test=test, conditions=(0.5, 0.0)
-                )
-            )
+            run_robustness_sweep(train, test, pipelines, (0.5, 0.0))
+        assert all(p.model is None for p in pipelines.values())
 
     def test_rejects_empty_severities(self, corrupted_split):
         train, test = corrupted_split
+        pipelines = fast_pipelines()
         with pytest.raises(ValueError, match="empty"):
-            run_sweep(
-                SweepSpec(kind="robustness", train=train, test=test, conditions=())
-            )
+            run_robustness_sweep(train, test, pipelines, ())
+        assert all(p.model is None for p in pipelines.values())
 
     def test_rejects_partial_pipelines(self, corrupted_split):
         train, test = corrupted_split
+        snn = SNNPipeline()
         with pytest.raises(ValueError, match="pipelines"):
-            run_sweep(
-                SweepSpec(
-                    kind="robustness",
-                    train=train,
-                    test=test,
-                    conditions=SEVERITIES,
-                    pipelines={"SNN": SNNPipeline()},
-                )
-            )
+            run_robustness_sweep(train, test, {"SNN": snn}, SEVERITIES)
+        assert snn.model is None
 
 
 def synthetic_result(scores):

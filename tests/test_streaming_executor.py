@@ -13,7 +13,6 @@ from repro.core import (
 )
 from repro.datasets import make_gestures_dataset
 from repro.events import EVENT_DTYPE, EventStream, Resolution
-from repro.parallel import SweepSpec, run_sweep
 from repro.streaming import (
     BreakerPolicy,
     LAST_GOOD_STAGE,
@@ -26,6 +25,7 @@ from repro.streaming import (
     make_bursty_stream,
     overload_scores,
     run_overload_demo,
+    run_streaming_sweep,
     validate_report,
 )
 
@@ -349,15 +349,7 @@ class TestStreamingSweep:
         stream = make_bursty_stream(
             num_windows=60, burst_factor=1.0, burst_windows=(0, 0), seed=1
         )
-        return run_sweep(
-            SweepSpec(
-                kind="streaming",
-                stream=stream,
-                window_us=10_000,
-                conditions=(0.5, 2.0, 6.0),
-                seed=0,
-            )
-        ).result
+        return run_streaming_sweep(stream, 10_000, (0.5, 2.0, 6.0), seed=0)
 
     def test_curves_cover_paradigms_and_balance(self):
         result = self._small_sweep()
@@ -398,23 +390,18 @@ class TestStreamingSweep:
         violations = degradation_violations(result)
         assert any("delivered fraction rises" in v for v in violations)
 
-    def test_sweep_validates_inputs(self):
+    def test_sweep_validates_inputs(self, monkeypatch):
+        from repro.streaming import sweep
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a paradigm ran before validation")
+
+        monkeypatch.setattr(sweep, "run_paradigm_stream", no_runs)
         stream = make_bursty_stream(num_windows=5, seed=0)
-        with pytest.raises(ValueError):
-            run_sweep(SweepSpec(kind="streaming", stream=stream, conditions=()))
-        with pytest.raises(ValueError):
-            run_sweep(
-                SweepSpec(kind="streaming", stream=stream, conditions=(2.0, 1.0))
-            )
-        with pytest.raises(ValueError):
-            run_sweep(
-                SweepSpec(
-                    kind="streaming",
-                    stream=stream,
-                    conditions=(0.5, 1.0, 2.0, 4.0, 8.0),
-                    pipelines={"SNN": count_mod},
-                )
-            )
+        with pytest.raises(ValueError, match="empty"):
+            run_streaming_sweep(stream, 10_000, ())
+        with pytest.raises(ValueError, match="ascending"):
+            run_streaming_sweep(stream, 10_000, (2.0, 1.0))
 
 
 class TestCalibrateService:

@@ -13,7 +13,6 @@ Usage:
     python tools/run_robustness_sweep.py                 # full-size run
     python tools/run_robustness_sweep.py --quick         # CI-sized run
     python tools/run_robustness_sweep.py --output /tmp/robustness.json
-    python tools/run_robustness_sweep.py --checkpoint-dir /tmp/sweep  # resumable
 """
 
 import argparse
@@ -33,8 +32,11 @@ from repro.datasets.base import EventDataset, EventSample
 from repro.events import Resolution
 from repro.gnn import GraphBuildConfig
 from repro.observability import Instrumentation, to_json, validate_snapshot
-from repro.parallel import SweepSpec, run_sweep
-from repro.reliability import OutOfOrderCorruption, robustness_scores
+from repro.reliability import (
+    OutOfOrderCorruption,
+    robustness_scores,
+    run_robustness_sweep,
+)
 
 
 def make_pipelines(quick: bool, seed: int):
@@ -76,12 +78,6 @@ def main() -> int:
         "--output", type=Path, default=REPO_ROOT / "robustness_sweep.json"
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        type=Path,
-        default=None,
-        help="persist model checkpoints + completed points here (resumable)",
-    )
-    parser.add_argument(
         "--metrics-output",
         type=Path,
         default=None,
@@ -110,18 +106,14 @@ def main() -> int:
 
     t0 = time.time()
     instrumentation = Instrumentation()  # wall clock: batch sweep, not virtual time
-    result = run_sweep(
-        SweepSpec(
-            kind="robustness",
-            train=train,
-            test=test,
-            conditions=severities,
-            pipelines=make_pipelines(args.quick, args.seed),
-            seed=args.seed,
-            options={"checkpoint_dir": args.checkpoint_dir},
-            instrumentation=instrumentation,
-        )
-    ).result
+    result = run_robustness_sweep(
+        train,
+        test,
+        make_pipelines(args.quick, args.seed),
+        severities,
+        seed=args.seed,
+        instrumentation=instrumentation,
+    )
     elapsed = time.time() - t0
     scores = robustness_scores(result)
 
@@ -129,30 +121,21 @@ def main() -> int:
     snapshot = instrumentation.snapshot()
     failures += [f"metrics snapshot invalid: {p}" for p in validate_snapshot(snapshot)]
     registry = instrumentation.registry
-    # A run that resumes every model and point from --checkpoint-dir
-    # evaluates nothing, so it makes no guarded call by design.
-    evaluated = registry.counter_total("runner_records_total") > 0
     stage_calls = int(registry.counter_total("pipeline_stage_calls_total"))
-    if stage_calls == 0 and (evaluated or args.checkpoint_dir is None):
+    if stage_calls == 0:
         failures.append("metrics snapshot recorded no guarded stage calls")
-    if args.checkpoint_dir is None:
-        # Cached sweep points come from a previous process, so their
-        # records never hit this run's counters — reconcile only when
-        # every point was evaluated here.
-        recorded = {}
-        for points in result.curves.values():
-            for point in points:
-                for outcome, count in point.report.outcome_counts().items():
-                    recorded[outcome] = recorded.get(outcome, 0) + count
-        for outcome, want in sorted(recorded.items()):
-            got = int(
-                registry.counter_value("runner_records_total", {"outcome": outcome})
+    recorded = {}
+    for points in result.curves.values():
+        for point in points:
+            for outcome, count in point.report.outcome_counts().items():
+                recorded[outcome] = recorded.get(outcome, 0) + count
+    for outcome, want in sorted(recorded.items()):
+        got = int(registry.counter_value("runner_records_total", {"outcome": outcome}))
+        if got != want:
+            failures.append(
+                f"runner_records_total{{outcome={outcome}}} {got} != "
+                f"report total {want}"
             )
-            if got != want:
-                failures.append(
-                    f"runner_records_total{{outcome={outcome}}} {got} != "
-                    f"report total {want}"
-                )
     args.metrics_output.write_text(to_json(snapshot))
     expected_quarantine = sorted(corrupted_indices)
     for name, points in result.curves.items():

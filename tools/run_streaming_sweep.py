@@ -37,12 +37,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.observability import to_json, to_prometheus, validate_snapshot
-from repro.parallel import SweepSpec, run_sweep
 from repro.streaming import (
     degradation_violations,
     make_bursty_stream,
     overload_scores,
     run_overload_demo,
+    run_streaming_sweep,
     validate_report,
 )
 
@@ -221,15 +221,7 @@ def main() -> int:
         burst_windows=(0, 0),
         seed=args.seed + 1,
     )
-    result = run_sweep(
-        SweepSpec(
-            kind="streaming",
-            stream=stream,
-            window_us=10_000,
-            conditions=load_factors,
-            seed=args.seed,
-        )
-    ).result
+    result = run_streaming_sweep(stream, 10_000, load_factors, seed=args.seed)
     failures += degradation_violations(result)
     scores = overload_scores(result)
     elapsed = time.time() - t0
