@@ -9,16 +9,11 @@ from .comparison import (
     run_comparison,
     to_markdown,
 )
-from .incremental import (
-    AuditPolicy,
-    GNNIncrementalSession,
-    SessionDivergenceError,
-)
+from .incremental import GNNIncrementalSession
 from .metrics import (
     AXES,
     OVERLOAD_AXIS,
     ROBUSTNESS_AXIS,
-    SESSION_ROBUSTNESS_AXIS,
     Axis,
     PipelineMetrics,
 )
@@ -50,13 +45,10 @@ __all__ = [
     "AXES",
     "ROBUSTNESS_AXIS",
     "OVERLOAD_AXIS",
-    "SESSION_ROBUSTNESS_AXIS",
     "PipelineMetrics",
     "NotFittedError",
     "ParadigmPipeline",
     "GNNIncrementalSession",
-    "AuditPolicy",
-    "SessionDivergenceError",
     "SNNPipeline",
     "CNNPipeline",
     "GNNPipeline",

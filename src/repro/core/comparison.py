@@ -124,15 +124,13 @@ def attach_row(
 ) -> ComparisonResult:
     """Append one measured [0, 1]-score row to a comparison.
 
-    The paper rates robustness, overload behaviour and session-fault
-    resilience qualitatively or not at all; the sweeps regenerate those
-    cells from data and rate them on the same ``++ / + / -`` scale as
-    every other row: :data:`~repro.core.metrics.ROBUSTNESS_AXIS` from
-    :func:`repro.reliability.sweep.robustness_scores`,
+    The paper rates robustness and overload behaviour qualitatively or
+    not at all; the sweeps regenerate those cells from data and rate
+    them on the same ``++ / + / -`` scale as every other row:
+    :data:`~repro.core.metrics.ROBUSTNESS_AXIS` from
+    :func:`repro.reliability.sweep.robustness_scores` and
     :data:`~repro.core.metrics.OVERLOAD_AXIS` from
-    :func:`repro.streaming.sweep.overload_scores` and
-    :data:`~repro.core.metrics.SESSION_ROBUSTNESS_AXIS` from
-    :func:`repro.reliability.incremental.session_robustness_scores`.
+    :func:`repro.streaming.sweep.overload_scores`.
     A paradigm the sweep cannot measure carries ``nan`` (rendered
     ``?``) rather than a made-up score.
 

@@ -21,7 +21,6 @@ __all__ = [
     "AXES",
     "ROBUSTNESS_AXIS",
     "OVERLOAD_AXIS",
-    "SESSION_ROBUSTNESS_AXIS",
     "GRAPH_MEMORY_DENSE_AXIS",
     "GRAPH_MEMORY_COMPACT_AXIS",
     "PipelineMetrics",
@@ -99,23 +98,6 @@ OVERLOAD_AXIS = Axis(
 )
 
 
-#: The measured session-fault resilience row: retained accuracy of
-#: per-event serving when its *live session state* is corrupted
-#: mid-stream (state corruption, NaN injection, clock skew — see
-#: :func:`repro.reliability.incremental.run_incremental_robustness`).
-#: Only paradigms with an incremental serving path can be measured;
-#: the rest stay ``nan`` and render as ``?``.  Appended by
-#: :func:`repro.core.comparison.attach_row`.
-SESSION_ROBUSTNESS_AXIS = Axis(
-    "session_robustness",
-    "Serving - Session-fault resilience",
-    higher_is_better=True,
-    measured=True,
-    paper_ratings=("?", "?", "?"),
-    tie_tolerance=1.2,
-)
-
-
 #: The measured graph-storage rows: resident bytes per event of the
 #: input representation each GNN pipeline traverses — the dense float64
 #: :class:`~repro.gnn.EventGraph` versus the quantized fixed-degree
@@ -180,10 +162,6 @@ class PipelineMetrics:
             (filled by a reliability sweep; nan until measured).
         overload: delivered-window fraction under offered load above
             capacity (filled by a streaming sweep; nan until measured).
-        session_robustness: retained-accuracy fraction when live
-            serving-session state is faulted mid-stream (filled by the
-            incremental-robustness sweep; nan until measured — and nan
-            forever for paradigms without a per-event serving path).
         graph_memory_dense: resident bytes per event of the dense
             float64 event-graph representation (GNN pipeline only;
             nan elsewhere).
@@ -208,7 +186,6 @@ class PipelineMetrics:
     latency: float = float("nan")
     robustness: float = float("nan")
     overload: float = float("nan")
-    session_robustness: float = float("nan")
     graph_memory_dense: float = float("nan")
     graph_memory_compact: float = float("nan")
     extras: dict = field(default_factory=dict)

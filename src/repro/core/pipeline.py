@@ -594,44 +594,24 @@ class GNNPipeline(ParadigmPipeline):
     # ------------------------------------------------------------------
     # Per-event incremental serving fast path
     # ------------------------------------------------------------------
-    def open_session(
-        self,
-        *,
-        max_live_nodes: int | None = None,
-        window_us: int | None = None,
-        audit=None,
-    ):
+    def open_session(self, *, max_live_nodes: int | None = None):
         """Open a per-event serving session over the fitted classifier.
 
         The session holds an :class:`~repro.gnn.AsyncEventGNN` built
-        with this pipeline's graph configuration and, by default, an
-        *unbounded* liveness window — the batch builder never expires
-        nodes, so an unbounded window is what makes session scores at a
-        window close bit-equal to windowed :meth:`predict` on the same
-        events.  The pipeline's attached instrumentation (if any)
-        receives the session's per-event metrics.
+        with this pipeline's graph configuration and an *unbounded*
+        liveness window — the batch builder never expires nodes, so an
+        unbounded window is what makes session scores at a window close
+        bit-equal to windowed :meth:`predict` on the same events.  The
+        pipeline's attached instrumentation (if any) receives the
+        session's per-event metrics.
 
         Args:
             max_live_nodes: opt into the engine's bounded-state mode — a
                 hard live-node budget with ring-buffer storage and
                 oldest-first eviction.  Bounded sessions trade the exact
-                bit-equality guarantee for flat memory; pair with an
-                ``audit`` tolerance set to the measured drift bound.
-            window_us: liveness window for stale-node expiry (defaults
-                to effectively unbounded, preserving exactness).
-            audit: optional :class:`~repro.core.incremental.AuditPolicy`
-                enabling the divergence watchdog; the shadow recompute
-                runs this pipeline's own windowed graph build over *all*
-                buffered events (``max_events`` lifted — the session
-                processes every event, so a subsampled shadow would
-                false-alarm on any window beyond ``config.max_events``).  Within capacity this is
-                exactly what windowed :meth:`predict` would score.
+                bit-equality guarantee for flat memory.
         """
-        from dataclasses import replace
-
         from ..gnn.async_network import AsyncEventGNN
-        from ..gnn.models import build_event_graph
-        from ..nn import no_grad
         from .incremental import GNNIncrementalSession
 
         self._require_fitted()
@@ -639,27 +619,14 @@ class GNNPipeline(ParadigmPipeline):
             self.model,
             radius=self.config.radius,
             time_scale_us=self.config.time_scale_us,
-            window_us=(1 << 62) if window_us is None else int(window_us),
+            window_us=1 << 62,
             max_degree=self.config.max_degree,
             resolution=self._resolution,
             include_position=self.config.include_position,
             max_live_nodes=max_live_nodes,
         )
-
-        def shadow(stream):
-            cfg = self.config
-            if len(stream) > cfg.max_events:
-                cfg = replace(cfg, max_events=len(stream))
-            graph = build_event_graph(stream, cfg)
-            with no_grad():
-                return self.model(graph).data[0]
-
         return GNNIncrementalSession(
-            engine,
-            paradigm=self.name,
-            instrumentation=self._obs,
-            audit=audit,
-            shadow=shadow,
+            engine, paradigm=self.name, instrumentation=self._obs
         )
 
     def _measure(self, test: EventDataset, temporal_labels: tuple[int, ...] = ()) -> PipelineMetrics:

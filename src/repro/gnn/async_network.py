@@ -480,8 +480,8 @@ class AsyncEventGNN:
         Raises:
             ValueError: when the checkpoint is structurally incompatible
                 with this engine (wrong schema, mode, capacity or array
-                shapes).  Value-level corruption is *not* detectable
-                here; that is the divergence audit's job.
+                shapes).  Values are trusted as written: a checkpoint
+                with the right shapes but wrong numbers restores.
         """
         fields = read_checkpoint(
             state,

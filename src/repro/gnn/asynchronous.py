@@ -40,7 +40,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "InsertionStats",
@@ -386,7 +385,7 @@ class KDTreeInserter(_InserterBase):
         if rebuild_every <= 0:
             raise ValueError("rebuild_every must be positive")
         self.rebuild_every = rebuild_every
-        self._tree: cKDTree | None = None
+        self._tree = None  # scipy.spatial.cKDTree over the live nodes
         self._tree_ids: np.ndarray = np.zeros(0, dtype=np.int64)
         self._pending: list[int] = []  # node ids not yet in the tree
 
@@ -395,6 +394,8 @@ class KDTreeInserter(_InserterBase):
         live = np.nonzero(w.t[: w.count] >= now_us - self.window_us)[0]
         self._tree_ids = live.astype(np.int64)
         if live.size:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(w.pos[live])
             # Tree construction touches every live point.
             self.stats.candidates_examined += live.size

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "radius_graph",
@@ -74,6 +73,8 @@ def _radius_graph_naive(points: np.ndarray, radius: float) -> np.ndarray:
 
 def _radius_graph_kdtree(points: np.ndarray, radius: float) -> np.ndarray:
     """``radius_graph(method="kdtree")``: the tree-search method of ref [75]."""
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     if pairs.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
@@ -130,6 +131,8 @@ def knn_graph(points: np.ndarray, k: int) -> np.ndarray:
     if n <= 1:
         return np.zeros((0, 2), dtype=np.int64)
     k_eff = min(k, n - 1)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     _, idx = tree.query(points, k=k_eff + 1)
     idx = np.atleast_2d(idx)

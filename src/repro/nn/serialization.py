@@ -2,9 +2,8 @@
 
 Thin ``.npz`` save/load over :meth:`repro.nn.Module.state_dict`, so
 trained pipelines can be checkpointed and experiments resumed exactly;
-and :func:`read_checkpoint`, the one validator of the versioned
-in-memory session snapshots (``async-gnn/v1`` and
-``incremental-session/v1``).
+and :func:`read_checkpoint`, the validator of the versioned in-memory
+serving-session snapshot (``async-gnn/v1``).
 """
 
 from __future__ import annotations

@@ -13,40 +13,22 @@ infrastructure so that measurement can run unattended:
   skip-and-record stage failures;
 * :mod:`~repro.reliability.sweep` — the in-process robustness sweep
   producing accuracy-degradation curves and the retained-accuracy
-  scores that regenerate the Table-I robustness cell;
-* :mod:`~repro.reliability.incremental` — the session-fault sweep:
-  live per-event serving state is corrupted mid-stream (state
-  corruption, NaN injection, clock skew) and the session's own
-  defences — divergence audits, last-good checkpoints, windowed
-  recompute — must contain the damage (the Table-I session-fault
-  resilience cell).
+  scores that regenerate the Table-I robustness cell.
 """
 
 from .faults import (
     AERBitFlips,
     BurstyDrop,
-    ClockSkew,
     DeadPixels,
     FaultChain,
     FaultModel,
     HotPixels,
-    NaNFeatureInjection,
     OutOfOrderCorruption,
     PolarityFlip,
-    SessionFault,
-    SessionStateCorruption,
     StuckPixels,
     TimestampJitter,
     UniformDrop,
     apply_fault,
-    apply_session_fault,
-)
-from .incremental import (
-    IncrementalRobustnessResult,
-    SessionFaultPoint,
-    default_session_fault_profile,
-    run_incremental_robustness,
-    session_robustness_scores,
 )
 from .runner import (
     HardenedRunner,
@@ -79,11 +61,6 @@ __all__ = [
     "PolarityFlip",
     "AERBitFlips",
     "apply_fault",
-    "SessionFault",
-    "SessionStateCorruption",
-    "NaNFeatureInjection",
-    "ClockSkew",
-    "apply_session_fault",
     "HardenedRunner",
     "RecordingOutcome",
     "RecordingReport",
@@ -97,9 +74,4 @@ __all__ = [
     "run_robustness_sweep",
     "robustness_scores",
     "rate_sweep",
-    "SessionFaultPoint",
-    "IncrementalRobustnessResult",
-    "default_session_fault_profile",
-    "run_incremental_robustness",
-    "session_robustness_scores",
 ]

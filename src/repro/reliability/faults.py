@@ -20,9 +20,7 @@ logic in :mod:`repro.reliability.runner`) rather than assume cleanliness.
 from __future__ import annotations
 
 import abc
-import copy
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -44,11 +42,6 @@ __all__ = [
     "PolarityFlip",
     "AERBitFlips",
     "apply_fault",
-    "SessionFault",
-    "SessionStateCorruption",
-    "NaNFeatureInjection",
-    "ClockSkew",
-    "apply_session_fault",
 ]
 
 
@@ -386,144 +379,3 @@ def apply_fault(
     if fault is None:
         return stream
     return fault.apply(stream, np.random.default_rng(seed))
-
-
-# ----------------------------------------------------------------------
-# Session faults: corruption of live serving state, not of the stream
-# ----------------------------------------------------------------------
-
-def _engine_state(snapshot: dict) -> dict:
-    """The engine checkpoint inside a session or engine snapshot.
-
-    Session checkpoints (``incremental-session/v1``) nest the engine
-    state under ``"engine"``; engine checkpoints (``async-gnn/v1``) are
-    the state.  Session faults only touch documented checkpoint keys,
-    never live internals, so they stay valid across either schema.
-    """
-    inner = snapshot.get("engine")
-    return inner if isinstance(inner, dict) else snapshot
-
-
-def _live_rows(engine: dict) -> np.ndarray:
-    """Storage rows of the currently live nodes in an engine checkpoint."""
-    ids = np.arange(int(engine["live_start"]), int(engine["count"]))
-    if engine.get("bounded"):
-        ids = ids % int(engine["capacity"])
-    return ids
-
-
-class SessionFault(abc.ABC):
-    """One seeded corruption of a serving session's checkpoint state.
-
-    Where :class:`FaultModel` corrupts the *input* (the event stream),
-    a session fault corrupts the *accumulated state* of a live
-    per-event serving session — the failure mode of long-running
-    deployments (bit rot, partial writes, clock domain glitches).  It
-    operates snapshot → corrupt → restore over the documented
-    checkpoint schema, so the injection itself cannot depend on engine
-    internals and the corrupted state is always structurally valid:
-    only the divergence audit (or an out-of-order rejection) can tell
-    it apart from health.
-    """
-
-    @abc.abstractmethod
-    def corrupt(self, engine: dict, rng: np.random.Generator) -> None:
-        """Mutate one engine checkpoint dict in place."""
-
-    def apply(self, snapshot: dict, rng: np.random.Generator) -> dict:
-        """Return a corrupted deep copy of ``snapshot`` (input unchanged)."""
-        state = copy.deepcopy(snapshot)
-        self.corrupt(_engine_state(state), rng)
-        return state
-
-
-@dataclass
-class SessionStateCorruption(SessionFault):
-    """Additive noise on stored node features and the running readout.
-
-    Attributes:
-        fraction: fraction of live nodes whose final-layer features are
-            perturbed (at least one when any are live).
-        magnitude: standard deviation of the additive noise.
-
-    The running readout is corrupted alongside the per-node features:
-    feature-only corruption stays invisible to the max-pooled scores
-    until an eviction forces a readout recompute, which would make
-    severity depend on eviction timing instead of ``magnitude``.
-    """
-
-    fraction: float = 0.25
-    magnitude: float = 10.0
-
-    def corrupt(self, engine: dict, rng: np.random.Generator) -> None:
-        rows = _live_rows(engine)
-        if rows.size:
-            k = max(1, int(round(self.fraction * rows.size)))
-            chosen = rng.choice(rows, size=min(k, rows.size), replace=False)
-            x2 = engine["x2"]
-            x2[chosen] += self.magnitude * rng.standard_normal(
-                (chosen.size, x2.shape[1])
-            )
-        engine["running_max"] = engine["running_max"] + (
-            self.magnitude * rng.standard_normal(engine["running_max"].shape)
-        )
-
-
-@dataclass
-class NaNFeatureInjection(SessionFault):
-    """NaNs written into stored features and the running readout.
-
-    Attributes:
-        fraction: fraction of live nodes receiving a NaN feature.
-
-    The per-event score path masks non-finite readout entries to zero
-    (a NaN must not take serving down), so this fault produces finite
-    but *silently wrong* scores — exactly the regime the divergence
-    audit exists to catch.
-    """
-
-    fraction: float = 0.25
-
-    def corrupt(self, engine: dict, rng: np.random.Generator) -> None:
-        rows = _live_rows(engine)
-        if rows.size:
-            k = max(1, int(round(self.fraction * rows.size)))
-            chosen = rng.choice(rows, size=min(k, rows.size), replace=False)
-            engine["x2"][chosen] = np.nan
-        running_max = engine["running_max"]
-        if running_max.size:
-            running_max[int(rng.integers(running_max.size))] = np.nan
-
-
-@dataclass
-class ClockSkew(SessionFault):
-    """Forward skew of the session's monotonic event clock.
-
-    Attributes:
-        skew_us: microseconds added to the last-seen timestamp.
-
-    After restore, genuine events older than the skewed clock are
-    rejected as out-of-order (the engine raises ``ValueError``), so
-    this fault exercises the *crash* recovery path where the other
-    session faults exercise the *silent-drift* path.
-    """
-
-    skew_us: int = 1_000_000
-
-    def corrupt(self, engine: dict, rng: np.random.Generator) -> None:
-        last = engine.get("last_t_us")
-        engine["last_t_us"] = int(self.skew_us if last is None else last + self.skew_us)
-
-
-def apply_session_fault(fault: SessionFault, session: Any, seed: int) -> None:
-    """Corrupt a live session through its own checkpoint round trip.
-
-    ``session`` is anything exposing ``snapshot()``/``restore()`` — a
-    :class:`~repro.core.incremental.GNNIncrementalSession` or a bare
-    :class:`~repro.gnn.async_network.AsyncEventGNN`.  The corruption is
-    seeded and structural validation happens inside ``restore``, so a
-    fault that produced an *invalid* checkpoint would surface here as a
-    ``ValueError`` rather than silently skipped injection.
-    """
-    snapshot = session.snapshot()
-    session.restore(fault.apply(snapshot, np.random.default_rng(seed)))

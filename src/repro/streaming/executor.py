@@ -30,8 +30,9 @@ raise :class:`~repro.core.pipeline.NotFittedError` up front.
 
 Every window is served one way: through each stage's windowed
 ``predict``.  Per-event serving — the GNN fast path of the paper's
-Section-IV perspective — does not go through the executor; callers
-drive :meth:`~repro.core.pipeline.GNNPipeline.open_session` directly.
+Section-IV perspective — does not go through the executor; its one
+caller, e2ebench's ``event_serve`` workload, drives
+:meth:`~repro.core.pipeline.GNNPipeline.open_session` directly.
 The run returns a :class:`~repro.streaming.report.StreamReport` whose
 window and event accounting balances exactly.
 

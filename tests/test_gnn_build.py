@@ -1,12 +1,18 @@
 """Tests for event-graph construction and incremental insertion."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro
 
 from repro.camera import CameraConfig, EventCamera, TexturePan
 from repro.events import EventStream, Resolution, concatenate
@@ -150,6 +156,20 @@ class TestRadiusGraphEquivalence:
         edges = radius_graph(pts, radius, method="kdtree")
         assert edges.shape[0] > 0  # the cluster forms a real graph
         np.testing.assert_array_equal(edges, radius_graph(pts, radius, method="naive"))
+
+    def test_import_repro_loads_no_scipy(self):
+        # scipy is imported inside the k-d tree paths only, so serving
+        # that never builds a tree does not pay its import.
+        code = "import sys, repro; print(any(m.startswith('scipy') for m in sys.modules))"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestKnnAndHelpers:

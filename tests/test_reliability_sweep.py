@@ -203,6 +203,10 @@ class TestComparisonIntegration:
         assert "robustness" in table.lower()
         assert "robustness" in to_markdown(updated).lower()
 
+    def test_attach_requires_every_paradigm(self):
+        with pytest.raises(ValueError):
+            attach_row(synthetic_comparison(), ROBUSTNESS_AXIS, {"GNN": 1.0})
+
     def test_default_table_unchanged_without_attach(self):
         comparison = synthetic_comparison()
         assert len(comparison.axes) == len(AXES)

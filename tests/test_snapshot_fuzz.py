@@ -1,11 +1,9 @@
 """Fuzzed checkpoint round-trip and rejection tests.
 
-Two snapshot/restore contracts guard serving state:
-
-* ``async-gnn/v1`` — :class:`repro.gnn.AsyncEventGNN` engine
-  checkpoints;
-* ``incremental-session/v1`` — :class:`repro.core.GNNIncrementalSession`
-  session checkpoints (wrapping the engine's).
+One snapshot/restore contract guards serving state: ``async-gnn/v1``,
+the :class:`repro.gnn.AsyncEventGNN` engine checkpoint, which a
+:class:`repro.core.GNNIncrementalSession` returns and restores as its
+own.  Both objects are fuzzed here.
 
 Each must (a) round-trip losslessly, (b) reject unknown or missing
 format tags with a ``ValueError`` that *names the expected version*,
@@ -18,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import GNNIncrementalSession
-from repro.core.incremental import SESSION_SNAPSHOT_FORMAT
 from repro.events import EventStream, Resolution
 from repro.gnn import AsyncEventGNN, EventGNNClassifier
 from repro.gnn.async_network import SNAPSHOT_FORMAT
@@ -69,7 +66,7 @@ def warmed_session():
 
 CASES = [
     pytest.param(warmed_engine, SNAPSHOT_FORMAT, id="async-gnn"),
-    pytest.param(warmed_session, SESSION_SNAPSHOT_FORMAT, id="session"),
+    pytest.param(warmed_session, SNAPSHOT_FORMAT, id="session"),
 ]
 
 
